@@ -278,4 +278,11 @@ if ! diff -u results/BENCH_experiments_tiny.json \
     exit 1
 fi
 
+echo "== repository benchmark smoke (perfbench, Tiny) =="
+# The benchmark is its own package and calls the crates' public API
+# (trace_function, Trace, PreparedSim, attr::node_to_inst, ...); its
+# Tiny smoke test builds it against this tree and runs every workload
+# once, so an API change that breaks the benchmark fails CI here.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "CI green."

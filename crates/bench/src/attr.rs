@@ -67,11 +67,7 @@ impl InstAttr {
 /// The trace-node → instruction back-map [`tapeflow_sim::AttributionProbe::with_inst_map`]
 /// consumes: node `n` executed instruction `map[n]`.
 pub fn node_to_inst(trace: &Trace) -> Vec<u32> {
-    trace
-        .nodes()
-        .iter()
-        .map(|n| n.inst.index() as u32)
-        .collect()
+    trace.insts().to_vec()
 }
 
 /// A short human label for `op` in `f`: cache-backed tape accesses (the

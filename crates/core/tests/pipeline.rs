@@ -298,10 +298,10 @@ fn streams_obey_lifo_stack_order() {
     .unwrap();
     let mut outs: Vec<(u64, u32)> = Vec::new();
     let mut ins: Vec<(u64, u32)> = Vec::new();
-    for node in trace.nodes() {
-        match node.op {
-            Op::StreamOut(_) => outs.push((node.addr, node.bytes)),
-            Op::StreamIn(_) => ins.push((node.addr, node.bytes)),
+    for i in 0..trace.len() {
+        match trace.op(i) {
+            Op::StreamOut(_) => outs.push((trace.addr(i), trace.bytes(i))),
+            Op::StreamIn(_) => ins.push((trace.addr(i), trace.bytes(i))),
             _ => {}
         }
     }

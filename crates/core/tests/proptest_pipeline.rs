@@ -216,17 +216,13 @@ fn stream_stack_lifo_under_random_programs() {
             },
         )
         .unwrap();
-        let outs: Vec<(u64, u32)> = trace
-            .nodes()
-            .iter()
-            .filter(|n| matches!(n.op, Op::StreamOut(_)))
-            .map(|n| (n.addr, n.bytes))
+        let outs: Vec<(u64, u32)> = (0..trace.len())
+            .filter(|&i| matches!(trace.op(i), Op::StreamOut(_)))
+            .map(|i| (trace.addr(i), trace.bytes(i)))
             .collect();
-        let ins: Vec<(u64, u32)> = trace
-            .nodes()
-            .iter()
-            .filter(|n| matches!(n.op, Op::StreamIn(_)))
-            .map(|n| (n.addr, n.bytes))
+        let ins: Vec<(u64, u32)> = (0..trace.len())
+            .filter(|&i| matches!(trace.op(i), Op::StreamIn(_)))
+            .map(|i| (trace.addr(i), trace.bytes(i)))
             .collect();
         let popped: Vec<_> = outs.iter().rev().copied().collect();
         assert_eq!(popped, ins, "case {case}: {steps:?}");

@@ -68,12 +68,10 @@ impl TraceStats {
 }
 
 /// Classifies one edge given its endpoints.
-fn edge_kind(trace: &Trace, p: crate::NodeId, c: crate::NodeId) -> EdgeKind {
-    let pn = trace.node(p);
-    let cn = trace.node(c);
-    if pn.is_tape && cn.is_tape {
+fn edge_kind(trace: &Trace, p: usize, c: usize) -> EdgeKind {
+    if trace.is_tape(p) && trace.is_tape(c) {
         EdgeKind::Tape
-    } else if cn.phase == Phase::Rev {
+    } else if trace.phase(c) == Phase::Rev {
         EdgeKind::Rev
     } else {
         EdgeKind::Fwd
@@ -88,37 +86,39 @@ pub fn trace_stats(trace: &Trace) -> TraceStats {
     };
     // (first_touch, last_touch) per 8-byte DRAM word, by node index.
     let mut touch: HashMap<u64, (u32, u32)> = HashMap::new();
-    for (i, n) in trace.nodes().iter().enumerate() {
-        match n.class() {
+    for i in 0..trace.len() {
+        match trace.class(i) {
             OpClass::FpAlu | OpClass::FpMul | OpClass::FpLong => s.fp_ops += 1,
             OpClass::Int => s.int_ops += 1,
             OpClass::MemLoad | OpClass::MemStore => {
                 s.mem_accesses += 1;
-                if n.is_tape {
+                if trace.is_tape(i) {
                     s.tape_mem_accesses += 1;
                 }
-                match n.phase {
+                match trace.phase(i) {
                     Phase::Fwd => s.fwd_mem_accesses += 1,
                     Phase::Rev => s.rev_mem_accesses += 1,
                 }
-                let e = touch.entry(n.addr & !7).or_insert((i as u32, i as u32));
+                let e = touch
+                    .entry(trace.addr(i) & !7)
+                    .or_insert((i as u32, i as u32));
                 e.1 = i as u32;
             }
             OpClass::SpadLoad | OpClass::SpadStore => s.spad_accesses += 1,
             OpClass::Stream => {
                 s.streams += 1;
-                s.stream_bytes += n.bytes as u64;
+                s.stream_bytes += trace.bytes(i) as u64;
                 // Streams touch DRAM too; count their footprint.
-                for k in 0..(n.bytes as u64 / 8) {
-                    let a = (n.addr + 8 * k) & !7;
+                for k in 0..(trace.bytes(i) as u64 / 8) {
+                    let a = (trace.addr(i) + 8 * k) & !7;
                     let e = touch.entry(a).or_insert((i as u32, i as u32));
                     e.1 = i as u32;
                 }
             }
             OpClass::Sync => {}
         }
-        for &d in &n.deps {
-            let k = edge_kind(trace, d, crate::NodeId::new(i));
+        for &d in trace.deps(i) {
+            let k = edge_kind(trace, d as usize, i);
             let slot = match k {
                 EdgeKind::Fwd => 0,
                 EdgeKind::Rev => 1,
@@ -191,15 +191,15 @@ pub fn edge_lifetimes(trace: &Trace, times: &[u64]) -> LifetimeStats {
     assert_eq!(times.len(), trace.len(), "one time per node required");
     let mut sums = [0f64; 3];
     let mut counts = [0u64; 3];
-    for (i, n) in trace.nodes().iter().enumerate() {
-        for &d in &n.deps {
-            let k = edge_kind(trace, d, crate::NodeId::new(i));
+    for i in 0..trace.len() {
+        for &d in trace.deps(i) {
+            let k = edge_kind(trace, d as usize, i);
             let slot = match k {
                 EdgeKind::Fwd => 0,
                 EdgeKind::Rev => 1,
                 EdgeKind::Tape => 2,
             };
-            sums[slot] += times[i].saturating_sub(times[d.index()]) as f64;
+            sums[slot] += times[i].saturating_sub(times[d as usize]) as f64;
             counts[slot] += 1;
         }
     }
@@ -237,10 +237,10 @@ pub fn tape_lifetime_quantiles(
     assert!(quantiles > 0, "need at least one quantile");
     assert_eq!(times.len(), trace.len(), "one time per node required");
     let mut lifetimes = Vec::new();
-    for (i, n) in trace.nodes().iter().enumerate() {
-        for &d in &n.deps {
-            if edge_kind(trace, d, crate::NodeId::new(i)) == EdgeKind::Tape {
-                lifetimes.push(times[i].saturating_sub(times[d.index()]));
+    for i in 0..trace.len() {
+        for &d in trace.deps(i) {
+            if edge_kind(trace, d as usize, i) == EdgeKind::Tape {
+                lifetimes.push(times[i].saturating_sub(times[d as usize]));
             }
         }
     }
@@ -294,12 +294,12 @@ pub fn register_pressure(trace: &Trace, regs: usize) -> RegisterReport {
     let n = trace.len();
     // Last consumer of each node, in schedule order.
     let mut last_use = vec![0u32; n];
-    for (i, node) in trace.nodes().iter().enumerate() {
-        for d in &node.deps {
-            last_use[d.index()] = last_use[d.index()].max(i as u32);
+    for i in 0..n {
+        for &d in trace.deps(i) {
+            last_use[d as usize] = last_use[d as usize].max(i as u32);
         }
     }
-    let produces = |i: usize| trace.nodes()[i].op.fixed_result() != Some(None);
+    let produces = |i: usize| trace.op(i).fixed_result() != Some(None);
     let mut report = RegisterReport {
         regs,
         ..RegisterReport::default()
@@ -345,8 +345,8 @@ pub fn accesses_by_array_kind(
     trace: &Trace,
 ) -> HashMap<crate::ArrayKind, u64> {
     let mut m = HashMap::new();
-    for n in trace.nodes() {
-        if let Op::Load(a) | Op::Store(a) = n.op {
+    for i in 0..trace.len() {
+        if let Op::Load(a) | Op::Store(a) = trace.op(i) {
             *m.entry(func.array(a).kind).or_insert(0) += 1;
         }
     }

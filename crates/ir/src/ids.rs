@@ -1,6 +1,6 @@
 //! Strongly-typed index newtypes used across the IR.
 //!
-//! Every IR entity (value, instruction, loop, array, trace node) is referred
+//! Every IR entity (value, instruction, loop, array, tape group) is referred
 //! to by a compact `u32` index wrapped in a dedicated newtype, so mixing up
 //! index spaces is a compile-time error (C-NEWTYPE).
 
@@ -61,10 +61,6 @@ define_id! {
     ArrayId, "@"
 }
 define_id! {
-    /// Identifies a node of a dynamic dataflow graph ([`crate::Trace`]).
-    NodeId, "n"
-}
-define_id! {
     /// Identifies a tape *region group*: the set of tape arrays Pass 1
     /// merges into one array-of-structs region (see `tapeflow-core`).
     TapeGroupId, "region"
@@ -91,6 +87,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "overflows")]
     fn overflow_panics() {
-        let _ = NodeId::new(usize::MAX);
+        let _ = ValueId::new(usize::MAX);
     }
 }

@@ -43,6 +43,16 @@ pub enum ExecError {
         /// The stream instruction.
         inst: InstId,
     },
+    /// A hook's output outgrew its index width (the tracer's `u32` node
+    /// ids and CSR offsets).
+    TraceTooLarge {
+        /// What overflowed.
+        what: &'static str,
+        /// The count that would have been recorded.
+        count: usize,
+        /// The largest count that fits.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -57,6 +67,12 @@ impl fmt::Display for ExecError {
                 write!(f, "scratchpad entry {entry} out of range")
             }
             ExecError::BadStream { inst } => write!(f, "malformed stream transfer at {inst}"),
+            ExecError::TraceTooLarge { what, count, limit } => {
+                write!(
+                    f,
+                    "trace too large: {count} {what} exceed the limit of {limit}"
+                )
+            }
         }
     }
 }
@@ -109,8 +125,14 @@ pub enum MemEffect {
 
 /// Observer invoked after every executed instruction.
 pub trait ExecHook {
-    /// Called once per dynamic instruction, in execution order.
-    fn on_inst(&mut self, inst: InstId, func: &Function, effect: &MemEffect);
+    /// Called once per dynamic instruction, in execution order. An error
+    /// stops execution and is returned from [`execute`].
+    fn on_inst(
+        &mut self,
+        inst: InstId,
+        func: &Function,
+        effect: &MemEffect,
+    ) -> Result<(), ExecError>;
 
     /// Called right after an instruction's result value is written,
     /// with the concrete value. Default: ignore.
@@ -129,7 +151,9 @@ pub struct NoopHook;
 
 impl ExecHook for NoopHook {
     #[inline]
-    fn on_inst(&mut self, _inst: InstId, _func: &Function, _effect: &MemEffect) {}
+    fn on_inst(&mut self, _: InstId, _: &Function, _: &MemEffect) -> Result<(), ExecError> {
+        Ok(())
+    }
 }
 
 /// Observed min/max of one value or array over a concrete run.
@@ -211,7 +235,9 @@ impl RangeRecorder {
 
 impl ExecHook for RangeRecorder {
     #[inline]
-    fn on_inst(&mut self, _inst: InstId, _func: &Function, _effect: &MemEffect) {}
+    fn on_inst(&mut self, _: InstId, _: &Function, _: &MemEffect) -> Result<(), ExecError> {
+        Ok(())
+    }
 
     #[inline]
     fn on_result(&mut self, _inst: InstId, result: ValueId, value: Value) {
@@ -469,8 +495,7 @@ impl<'f, 'm, H: ExecHook> Executor<'f, 'm, H> {
             self.hook.on_result(id, rid, rv);
         }
         self.dyn_insts += 1;
-        self.hook.on_inst(id, self.func, &effect);
-        Ok(())
+        self.hook.on_inst(id, self.func, &effect)
     }
 }
 
@@ -480,7 +505,8 @@ impl<'f, 'm, H: ExecHook> Executor<'f, 'm, H> {
 /// # Errors
 ///
 /// Returns an [`ExecError`] on out-of-bounds accesses, zero divisions,
-/// malformed streams, or use of undefined values.
+/// malformed streams, or use of undefined values, and stops with any
+/// error the hook's [`ExecHook::on_inst`] returns.
 pub fn execute<H: ExecHook>(
     func: &Function,
     mem: &mut Memory,

@@ -72,8 +72,8 @@ pub use builder::FunctionBuilder;
 pub use function::{
     ArrayDecl, ArrayKind, Bound, DeclRange, Function, Inst, LoopInfo, Provenance, Stmt, ValueDef,
 };
-pub use ids::{ArrayId, InstId, LoopId, NodeId, TapeGroupId, ValueId};
+pub use ids::{ArrayId, InstId, LoopId, TapeGroupId, ValueId};
 pub use memory::Memory;
 pub use ops::{CmpKind, Op, OpClass};
-pub use trace::{Phase, Trace, TraceNode};
+pub use trace::{Phase, Trace};
 pub use types::{Const, Scalar};

@@ -325,6 +325,13 @@ impl<'s> Parser<'s> {
         };
         let args: Vec<&str> = toks.collect();
         let (op, operand_toks) = self.decode_op(mn, &args)?;
+        if operand_toks.len() != op.arity() {
+            return self.err(format!(
+                "{mn} takes {} value operand(s), found {}",
+                op.arity(),
+                operand_toks.len()
+            ));
+        }
         let mut vals = Vec::with_capacity(operand_toks.len());
         for t in operand_toks {
             vals.push(self.operand(t)?);
@@ -658,6 +665,60 @@ mod tests {
         let bad = "func @f {\n  %0 = warp 1 2\n}";
         let err = parse(bad).unwrap_err();
         assert!(err.message.contains("unknown mnemonic"), "{err}");
+    }
+
+    #[test]
+    fn reports_wrong_operand_counts() {
+        // One missing and one extra operand per arity class (0 to 3),
+        // across the op families that take an array or encoding prefix.
+        let decls = "  array @0 x : f64[4] (Input)\n  array @1 t : f64[4] (Tape)\n";
+        let setup = "  %0 = fadd 1.0 2.0\n  %1 = salloc 4 @0\n";
+        let cases = [
+            ("barrier %0", "barrier takes 0 value operand(s), found 1"),
+            ("%2 = tanh", "tanh takes 1 value operand(s), found 0"),
+            ("%2 = tanh %0 %0", "tanh takes 1 value operand(s), found 2"),
+            ("%2 = load @0", "load takes 1 value operand(s), found 0"),
+            (
+                "%2 = spad.load %1 %1",
+                "spad.load takes 1 value operand(s), found 2",
+            ),
+            ("%2 = fmin %0", "fmin takes 2 value operand(s), found 1"),
+            (
+                "%2 = icmp.lt %1 %1 %1",
+                "icmp.lt takes 2 value operand(s), found 3",
+            ),
+            ("store @0 %1", "store takes 2 value operand(s), found 1"),
+            (
+                "spad.store %1",
+                "spad.store takes 2 value operand(s), found 1",
+            ),
+            (
+                "tape.store @1 +0 %1 %0 %0",
+                "tape.store takes 2 value operand(s), found 3",
+            ),
+            (
+                "%2 = tape.load @1 x1 +0 %1",
+                "tape.load takes 2 value operand(s), found 1",
+            ),
+            (
+                "%2 = select %1 %0",
+                "select takes 3 value operand(s), found 2",
+            ),
+            (
+                "stream.in @1 %1 %1",
+                "stream.in takes 3 value operand(s), found 2",
+            ),
+            (
+                "stream.outc @1 2x8 %1 %1 %1 %1",
+                "stream.outc takes 3 value operand(s), found 4",
+            ),
+        ];
+        for (inst, want) in cases {
+            let text = format!("func @f {{\n{decls}{setup}  {inst}\n}}");
+            let err = parse(&text).unwrap_err();
+            assert_eq!(err.message, want, "{inst}");
+            assert_eq!(err.line, 6, "{inst}");
+        }
     }
 
     #[test]

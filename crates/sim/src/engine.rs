@@ -312,7 +312,7 @@ impl CoreState {
             events.push(0, r);
         }
         CoreState {
-            pend: prep.pend0.clone(),
+            pend: prep.pend0(),
             finish: vec![0u64; prep.n],
             events,
             q_fp: VecDeque::with_capacity(64),
@@ -1044,7 +1044,7 @@ impl DfState {
             eq.push(0, r);
         }
         DfState {
-            pend: prep.pend0.clone(),
+            pend: prep.pend0(),
             finish: vec![0u64; prep.n],
             eq,
             fp_srv: IssueSrv::new(),

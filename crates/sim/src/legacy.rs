@@ -48,12 +48,10 @@ pub fn try_simulate_probed<P: SimProbe>(
     }
 
     // Successor lists in CSR form + indegrees.
-    let mut indeg = vec![0u32; n];
+    let mut indeg: Vec<u32> = (0..n).map(|i| trace.deps(i).len() as u32).collect();
     let mut succ_cnt = vec![0u32; n];
-    for node in trace.nodes() {
-        for d in &node.deps {
-            succ_cnt[d.index()] += 1;
-        }
+    for &d in trace.dep_csr().1 {
+        succ_cnt[d as usize] += 1;
     }
     let mut succ_off = vec![0u32; n + 1];
     for i in 0..n {
@@ -61,10 +59,9 @@ pub fn try_simulate_probed<P: SimProbe>(
     }
     let mut succ_dat = vec![0u32; succ_off[n] as usize];
     let mut fill = succ_off.clone();
-    for (i, node) in trace.nodes().iter().enumerate() {
-        indeg[i] = node.deps.len() as u32;
-        for d in &node.deps {
-            let di = d.index();
+    for i in 0..n {
+        for &d in trace.deps(i) {
+            let di = d as usize;
             succ_dat[fill[di] as usize] = i as u32;
             fill[di] += 1;
         }
@@ -97,7 +94,7 @@ pub fn try_simulate_probed<P: SimProbe>(
     let mut dram = Dram::new(cfg);
     let mut stream_free = [0u64; 2];
 
-    let phase_barrier_idx = trace.nodes().iter().position(|nd| nd.phase == Phase::Rev);
+    let phase_barrier_idx = (0..n).position(|i| trace.phase(i) == Phase::Rev);
     probe.on_start(&ProbeGeometry::of(cfg, phase_barrier_idx.is_some()));
 
     let mut now: u64 = 0;
@@ -137,8 +134,7 @@ pub fn try_simulate_probed<P: SimProbe>(
                 break;
             }
             events.pop();
-            let node = &trace.nodes()[id as usize];
-            match node.class() {
+            match trace.class(id as usize) {
                 OpClass::Sync => {
                     // Barriers and SAlloc cost nothing by themselves.
                     complete!(id, now);
@@ -148,7 +144,7 @@ pub fn try_simulate_probed<P: SimProbe>(
                 OpClass::MemLoad | OpClass::MemStore => q_mem.push_back(id),
                 OpClass::SpadLoad | OpClass::SpadStore => q_spad.push_back(id),
                 OpClass::Stream => {
-                    let dir = usize::from(matches!(node.op, Op::StreamIn(_)));
+                    let dir = usize::from(matches!(trace.op(id as usize), Op::StreamIn(_)));
                     q_stream[dir].push_back(id);
                 }
             }
@@ -160,7 +156,7 @@ pub fn try_simulate_probed<P: SimProbe>(
             let Some(id) = q_fp.pop_front() else { break };
             fp_left -= 1;
             report.fp_ops += 1;
-            let class = trace.nodes()[id as usize].class();
+            let class = trace.class(id as usize);
             let lat = match class {
                 OpClass::FpAlu => cfg.pe.fp_alu_latency,
                 OpClass::FpMul => cfg.pe.fp_mul_latency,
@@ -186,8 +182,9 @@ pub fn try_simulate_probed<P: SimProbe>(
         let mut ports_left = cfg.cache.ports;
         while ports_left > 0 {
             let Some(&id) = q_mem.front() else { break };
-            let node = &trace.nodes()[id as usize];
-            let is_write = node.class() == OpClass::MemStore;
+            let node = id as usize;
+            let is_write = trace.class(node) == OpClass::MemStore;
+            let (is_tape, is_rev) = (trace.is_tape(node), trace.phase(node) == Phase::Rev);
             // Peek whether this would miss without an MSHR available.
             let mshr_slot = mshr
                 .iter()
@@ -195,14 +192,14 @@ pub fn try_simulate_probed<P: SimProbe>(
                 .min_by_key(|(_, &t)| t)
                 .map(|(i, _)| i)
                 .expect("mshr vec non-empty");
-            let res = cache.access(node.addr, is_write);
+            let res = cache.access(trace.addr(node), is_write);
             if !res.hit && mshr[mshr_slot] > now {
                 // Undo nothing: the line was allocated, but the request
                 // still pays the stall — model the stall by waiting.
                 // (Allocation-on-stall slightly favours the baseline.)
                 report.cache.misses += 1;
-                report.cache.tape_misses += u64::from(node.is_tape);
-                report.cache.rev_misses += u64::from(node.phase == Phase::Rev);
+                report.cache.tape_misses += u64::from(is_tape);
+                report.cache.rev_misses += u64::from(is_rev);
                 report.dram_fill_bytes += line_bytes;
                 if res.writeback.is_some() {
                     report.cache.writebacks += 1;
@@ -213,15 +210,15 @@ pub fn try_simulate_probed<P: SimProbe>(
                 let (_, fin) = dram.transfer(start, line_bytes);
                 mshr[mshr_slot] = fin;
                 q_mem.pop_front();
-                probe.on_mshr_stall(now, node.is_tape, id);
+                probe.on_mshr_stall(now, is_tape, id);
                 probe.on_cache_access(&CacheAccessEvent {
                     node: id,
                     now,
                     fin: fin + cfg.cache.hit_latency,
                     port: cfg.cache.ports - ports_left,
                     hit: false,
-                    is_tape: node.is_tape,
-                    is_rev: node.phase == Phase::Rev,
+                    is_tape,
+                    is_rev,
                     is_write,
                 });
                 complete!(id, fin + cfg.cache.hit_latency);
@@ -230,7 +227,6 @@ pub fn try_simulate_probed<P: SimProbe>(
             }
             q_mem.pop_front();
             ports_left -= 1;
-            let (is_tape, is_rev) = (node.is_tape, node.phase == Phase::Rev);
             let port = cfg.cache.ports - ports_left - 1;
             if res.hit {
                 report.cache.hits += 1;
@@ -281,8 +277,7 @@ pub fn try_simulate_probed<P: SimProbe>(
         while scanned < SPAD_SCAN_WINDOW {
             let Some(id) = q_spad.pop_front() else { break };
             scanned += 1;
-            let node = &trace.nodes()[id as usize];
-            let bank = (node.addr as usize) % cfg.spad.banks.max(1);
+            let bank = (trace.addr(id as usize) as usize) % cfg.spad.banks.max(1);
             if banks_used & (1u64 << bank) == 0 {
                 banks_used |= 1u64 << bank;
                 report.spad_accesses += 1;
@@ -301,8 +296,7 @@ pub fn try_simulate_probed<P: SimProbe>(
         for dir in 0..2 {
             if stream_free[dir] <= now {
                 if let Some(id) = q_stream[dir].pop_front() {
-                    let node = &trace.nodes()[id as usize];
-                    let bytes = node.bytes as u64;
+                    let bytes = trace.bytes(id as usize) as u64;
                     report.stream_cmds += 1;
                     report.dram_stream_bytes += bytes;
                     let (bw_done, fin) = dram.transfer(now, bytes);

@@ -1,32 +1,31 @@
 //! Config-independent simulation arena.
 //!
 //! Everything the scheduler needs from a [`Trace`] that does not depend
-//! on the [`crate::SystemConfig`] is flattened here once: the dependence
-//! CSR, initial indegrees, root set, and a struct-of-arrays copy of the
-//! per-node scheduling metadata (class, address, byte count, flags). The
-//! hot loop then never chases the trace's per-node `deps` vectors or
-//! 80-byte node structs, and a parameter sweep that only perturbs
+//! on the [`crate::SystemConfig`] lives here: the successor CSR, the
+//! root set, and the per-node scheduling columns (class, flags, address,
+//! byte count, predecessor offsets). The columns are the trace's own,
+//! shared through `Arc` rather than copied; the successor CSR is one
+//! counting-sort transpose of the trace's predecessor CSR, and the
+//! indegrees each run starts from are that CSR's offset deltas. Beyond
+//! the shared columns a node costs 4 arena bytes (successor offset) plus
+//! 4 per root, and an edge 4. A parameter sweep that only perturbs
 //! cache/scratchpad/DRAM settings re-simulates from this shared prefix
 //! instead of rebuilding it per configuration (the bench harness keys the
 //! arena by program and the simulation result by the
 //! `SystemConfig::fingerprint` memo).
 
 use crate::error::SimError;
-use tapeflow_ir::trace::Phase;
-use tapeflow_ir::{Op, OpClass, Trace};
+use std::sync::Arc;
+use tapeflow_ir::trace::{SchedColumns, EDGE_LIMIT, NODE_LIMIT};
+use tapeflow_ir::{OpClass, Trace};
 
-/// Node flag: access targets a tape array.
-pub(crate) const FLAG_TAPE: u8 = 1 << 0;
-/// Node flag: node belongs to the reverse phase.
-pub(crate) const FLAG_REV: u8 = 1 << 1;
-/// Node flag: stream command moves data inward (`StreamIn`, engine 1).
-pub(crate) const FLAG_STREAM_IN: u8 = 1 << 2;
+pub(crate) use tapeflow_ir::trace::{FLAG_REV, FLAG_STREAM_IN, FLAG_TAPE};
 
 /// Per-node mutable scheduling state, fused into one 16-byte entry so the
 /// completion walk touches a single cache line per successor (the old
 /// layout split `ready_time` and `indeg` across two arrays and paid two
-/// random accesses per dependence edge). A run starts from the arena's
-/// [`PreparedSim::pend0`] template with one `memcpy`.
+/// random accesses per dependence edge). A run starts from
+/// [`PreparedSim::pend0`].
 #[derive(Clone, Copy, Debug)]
 #[repr(C)]
 pub(crate) struct NodeState {
@@ -36,7 +35,7 @@ pub(crate) struct NodeState {
     pub(crate) indeg: u32,
 }
 
-/// A [`Trace`] preprocessed for simulation: dependence CSR plus
+/// A [`Trace`] preprocessed for simulation: successor CSR plus
 /// struct-of-arrays node metadata, independent of any `SystemConfig`.
 ///
 /// Build once with [`PreparedSim::new`], then run any number of
@@ -44,17 +43,18 @@ pub(crate) struct NodeState {
 #[derive(Clone, Debug)]
 pub struct PreparedSim {
     pub(crate) n: usize,
-    /// Scheduling class per node.
-    pub(crate) class: Vec<OpClass>,
-    /// `FLAG_*` bits per node.
-    pub(crate) flags: Vec<u8>,
-    /// Byte address per node (scratchpad entries carry the spad-space bit).
-    pub(crate) addr: Vec<u64>,
-    /// Transfer size per node (stream commands).
-    pub(crate) bytes: Vec<u32>,
-    /// Initial scheduling state per node (`ready = 0`, indegree from the
-    /// trace) — the template each simulation run clones.
-    pub(crate) pend0: Vec<NodeState>,
+    /// Scheduling class per node (shared with the trace).
+    pub(crate) class: Arc<Vec<OpClass>>,
+    /// `FLAG_*` bits per node (shared with the trace).
+    pub(crate) flags: Arc<Vec<u8>>,
+    /// DRAM byte address or scratchpad entry per node (shared with the
+    /// trace).
+    pub(crate) addr: Arc<Vec<u64>>,
+    /// Transfer size per node (shared with the trace).
+    pub(crate) bytes: Arc<Vec<u32>>,
+    /// Predecessor CSR offsets (`n + 1` entries, shared with the trace):
+    /// node `i` has `dep_off[i + 1] - dep_off[i]` dependences.
+    pub(crate) dep_off: Arc<Vec<u32>>,
     /// CSR successor offsets (`n + 1` entries).
     pub(crate) succ_off: Vec<u32>,
     /// CSR successor payload.
@@ -79,14 +79,11 @@ pub struct PreparedSim {
 
 impl PreparedSim {
     /// Rejects traces whose node or edge count would overflow the
-    /// scheduler's 32-bit indices (event heap ids, CSR offsets). Kept
+    /// scheduler's 32-bit indices (event heap ids, CSR offsets) — the
+    /// same [`NODE_LIMIT`]/[`EDGE_LIMIT`] the tracer stops at. Kept
     /// separate from [`PreparedSim::new`] so the guard is testable
     /// without materializing a four-billion-node trace.
     pub fn check_limits(nodes: usize, edges: usize) -> Result<(), SimError> {
-        // Node ids are stored as `u32` in the event heap and CSR payload.
-        const NODE_LIMIT: usize = u32::MAX as usize - 1;
-        // CSR offsets are cumulative `u32` edge counts.
-        const EDGE_LIMIT: usize = u32::MAX as usize;
         if nodes > NODE_LIMIT {
             return Err(SimError::TraceTooLarge {
                 what: "nodes",
@@ -104,69 +101,58 @@ impl PreparedSim {
         Ok(())
     }
 
-    /// Flattens `trace` into the arena. Fails (instead of silently
-    /// truncating ids) when the trace exceeds the 32-bit index limits.
+    /// Builds the arena over `trace`'s columns. Fails (instead of
+    /// silently truncating ids) when the trace exceeds the 32-bit index
+    /// limits.
     pub fn new(trace: &Trace) -> Result<Self, SimError> {
         let n = trace.len();
         Self::check_limits(n, trace.edge_count())?;
+        let (dep_off, dep_dat) = trace.dep_csr();
+        let roots = (0..n as u32)
+            .filter(|&i| dep_off[i as usize] == dep_off[i as usize + 1])
+            .collect();
 
-        let mut class = Vec::with_capacity(n);
-        let mut flags = Vec::with_capacity(n);
-        let mut addr = Vec::with_capacity(n);
-        let mut bytes = Vec::with_capacity(n);
-        let mut pend0 = vec![NodeState { ready: 0, indeg: 0 }; n];
-        let mut succ_cnt = vec![0u32; n];
-        let mut phase_barrier_idx = None;
-        let mut has_spad = false;
-        let mut has_stream = false;
-        let mut n_mem = 0usize;
-        for (i, node) in trace.nodes().iter().enumerate() {
-            let c = node.class();
+        // Counting-sort transpose. Counts land two slots up, so after the
+        // prefix sum `succ_off[d + 1]` is `d`'s start and serves as its
+        // fill cursor; once filled it has advanced to `d + 1`'s start.
+        let mut succ_off = vec![0u32; n + 2];
+        for &d in dep_dat {
+            succ_off[d as usize + 2] += 1;
+        }
+        for k in 2..n + 2 {
+            succ_off[k] += succ_off[k - 1];
+        }
+        let mut succ_dat = vec![0u32; dep_dat.len()];
+        for (i, w) in dep_off.windows(2).enumerate() {
+            for &d in &dep_dat[w[0] as usize..w[1] as usize] {
+                let cur = &mut succ_off[d as usize + 1];
+                succ_dat[*cur as usize] = i as u32;
+                *cur += 1;
+            }
+        }
+        succ_off.pop();
+
+        let SchedColumns {
+            dep_off,
+            class,
+            flags,
+            addr,
+            bytes,
+        } = trace.sched_columns().clone();
+        let (mut has_spad, mut has_stream, mut n_mem) = (false, false, 0usize);
+        for c in class.iter() {
             has_spad |= matches!(c, OpClass::SpadLoad | OpClass::SpadStore);
             has_stream |= matches!(c, OpClass::Stream);
             n_mem += usize::from(matches!(c, OpClass::MemLoad | OpClass::MemStore));
-            class.push(c);
-            let mut f = 0u8;
-            f |= FLAG_TAPE * u8::from(node.is_tape);
-            f |= FLAG_REV * u8::from(node.phase == Phase::Rev);
-            f |= FLAG_STREAM_IN
-                * u8::from(matches!(node.op, Op::StreamIn(_) | Op::StreamInC { .. }));
-            flags.push(f);
-            addr.push(node.addr);
-            bytes.push(node.bytes);
-            if phase_barrier_idx.is_none() && node.phase == Phase::Rev {
-                phase_barrier_idx = Some(i);
-            }
-            pend0[i].indeg = node.deps.len() as u32;
-            for d in &node.deps {
-                succ_cnt[d.index()] += 1;
-            }
         }
-
-        let mut succ_off = vec![0u32; n + 1];
-        for i in 0..n {
-            succ_off[i + 1] = succ_off[i] + succ_cnt[i];
-        }
-        let mut succ_dat = vec![0u32; succ_off[n] as usize];
-        let mut fill = succ_off.clone();
-        for (i, node) in trace.nodes().iter().enumerate() {
-            for d in &node.deps {
-                let di = d.index();
-                succ_dat[fill[di] as usize] = i as u32;
-                fill[di] += 1;
-            }
-        }
-
-        let roots = (0..n as u32)
-            .filter(|&i| pend0[i as usize].indeg == 0)
-            .collect();
+        let phase_barrier_idx = flags.iter().position(|f| f & FLAG_REV != 0);
         Ok(PreparedSim {
             n,
             class,
             flags,
             addr,
             bytes,
-            pend0,
+            dep_off,
             succ_off,
             succ_dat,
             roots,
@@ -175,6 +161,17 @@ impl PreparedSim {
             has_stream,
             n_mem,
         })
+    }
+
+    /// Initial scheduling state per node: `ready = 0` and the indegree.
+    pub(crate) fn pend0(&self) -> Vec<NodeState> {
+        self.dep_off
+            .windows(2)
+            .map(|w| NodeState {
+                ready: 0,
+                indeg: w[1] - w[0],
+            })
+            .collect()
     }
 
     /// Whether any node touches the scratchpad or a stream engine. When
@@ -194,14 +191,15 @@ impl PreparedSim {
         self.n == 0
     }
 
-    /// Approximate heap footprint in bytes (for capacity planning).
+    /// Approximate heap footprint in bytes (for capacity planning),
+    /// counting the columns shared with the trace.
     pub fn arena_bytes(&self) -> usize {
         self.class.len() * std::mem::size_of::<OpClass>()
             + self.flags.len()
             + self.addr.len() * 8
             + self.bytes.len() * 4
-            + self.pend0.len() * std::mem::size_of::<NodeState>()
-            + (self.succ_off.len() + self.succ_dat.len() + self.roots.len()) * 4
+            + (self.dep_off.len() + self.succ_off.len() + self.succ_dat.len() + self.roots.len())
+                * 4
     }
 }
 
@@ -245,8 +243,9 @@ mod tests {
         assert_eq!(prep.succ_dat.len(), trace.edge_count());
         assert_eq!(prep.phase_barrier_idx, None);
         // Every root really has indegree zero and the CSR covers all edges.
+        let pend0 = prep.pend0();
         for &r in &prep.roots {
-            assert_eq!(prep.pend0[r as usize].indeg, 0);
+            assert_eq!(pend0[r as usize].indeg, 0);
         }
         assert_eq!(prep.succ_off[prep.len()] as usize, trace.edge_count());
         assert!(prep.arena_bytes() > 0);

@@ -1379,11 +1379,7 @@ mod tests {
         let f = b.finish();
         let mut mem = Memory::for_function(&f);
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
-        let map: Vec<u32> = trace
-            .nodes()
-            .iter()
-            .map(|n| n.inst.index() as u32)
-            .collect();
+        let map = trace.insts().to_vec();
         let mut probe = AttributionProbe::with_inst_map(map, f.insts().len());
         let r = simulate_probed(&trace, &cfg, &SimOptions::default(), &mut probe);
         let (bd, pi) = probe.into_parts();

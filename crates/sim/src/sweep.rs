@@ -449,7 +449,7 @@ pub(crate) fn spad_map_equal(prep: &PreparedSim, b1: usize, b2: usize) -> bool {
     if b1 == b2 {
         return true;
     }
-    prep.class.iter().zip(&prep.addr).all(|(c, &a)| {
+    prep.class.iter().zip(prep.addr.iter()).all(|(c, &a)| {
         !matches!(c, OpClass::SpadLoad | OpClass::SpadStore)
             || (a as usize) % b1 == (a as usize) % b2
     })
@@ -672,7 +672,7 @@ mod tests {
         let spad_addrs: Vec<u64> = prep
             .class
             .iter()
-            .zip(&prep.addr)
+            .zip(prep.addr.iter())
             .filter(|(c, _)| matches!(c, OpClass::SpadLoad | OpClass::SpadStore))
             .map(|(_, &a)| a)
             .collect();

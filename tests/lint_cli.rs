@@ -2,8 +2,8 @@
 //! `tests/lint/` proves one rule family live against a golden table
 //! (regenerate with `BLESS=1 cargo test --test lint_cli`), the JSON
 //! report is schema-checked and byte-stable across runs, every in-tree
-//! benchmark lints clean, unknown program names exit with a structured
-//! error instead of a panic, and `--lint-after-all` leaves the simulate
+//! benchmark lints clean, unknown program names and malformed
+//! instructions exit with a structured error instead of a panic, and `--lint-after-all` leaves the simulate
 //! output byte-identical.
 
 use std::path::PathBuf;
@@ -282,6 +282,24 @@ fn unknown_program_name_is_a_structured_error() {
         );
         assert!(!stderr.contains("panicked"), "{cmd}: panicked: {stderr}");
     }
+}
+
+#[test]
+fn wrong_operand_count_is_a_parse_error_not_a_panic() {
+    // Dropping one operand of a binary op used to reach
+    // `Function::add_inst`'s arity assertion and abort with exit 101.
+    let src = std::fs::read_to_string("programs/pathfinder_mini.tf").expect("read program");
+    assert!(src.contains("%7 = fmin %4 %5"));
+    let file = target_tmp("pathfinder_mini_arity.tf");
+    std::fs::write(&file, src.replace("%7 = fmin %4 %5", "%7 = fmin %4")).unwrap();
+    let out = tapeflow(&["lint", file.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("fmin takes 2 value operand(s), found 1"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "panicked: {stderr}");
 }
 
 #[test]
