@@ -78,6 +78,16 @@ cargo run --release --bin tapeflow -- \
     --trace-out target/ci/profile_sumexp_sampled.json --sample 8 > /dev/null
 TAPEFLOW_TRACE_VALIDATE=target/ci/profile_sumexp_sampled.json \
     cargo test -q --release --test profile_cli validates_trace_file_from_env
+# Both emitted timelines are pinned byte for byte: their SHA-256 must
+# match the golden hashes (tests/chrome_oracle.rs checks the renderer
+# against a tree-building reference; this pins the CLI's output).
+if ! sha256sum --quiet -c tests/golden/chrome_trace_sumexp.sha256; then
+    echo "Chrome trace bytes drifted from tests/golden/chrome_trace_sumexp.sha256;" \
+         "if the change is intended, bless it with: sha256sum" \
+         "target/ci/profile_sumexp_trace.json target/ci/profile_sumexp_sampled.json" \
+         "> tests/golden/chrome_trace_sumexp.sha256"
+    exit 1
+fi
 
 echo "== lint smoke (all registered benchmarks) =="
 # Every in-tree benchmark must lint clean at the default config — any

@@ -121,7 +121,10 @@ impl Value {
         out
     }
 
-    fn render_into(&self, out: &mut String, indent: usize) {
+    /// Renders the value at nesting depth `indent` (no trailing newline):
+    /// the tree writer behind [`Self::render`], shared with the Chrome
+    /// trace renderer so both lay values out identically.
+    pub(crate) fn render_into(&self, out: &mut String, indent: usize) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -248,7 +251,8 @@ fn pad(out: &mut String, indent: usize) {
     }
 }
 
-fn render_string(out: &mut String, s: &str) {
+/// Appends `s` as a quoted, escaped JSON string.
+pub(crate) fn render_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

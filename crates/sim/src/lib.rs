@@ -71,8 +71,8 @@ pub use engine::{
 pub use error::SimError;
 pub use prep::PreparedSim;
 pub use probe::{
-    AttributionProbe, CycleBreakdown, InstBreakdown, NoProbe, ProbeGeometry, SamplingProbe,
-    SimProbe, StallKind, TraceRecorder,
+    AttributionProbe, ChromeTrace, CycleBreakdown, InstBreakdown, NoProbe, ProbeGeometry,
+    SamplingProbe, SimProbe, StallKind, TraceRecorder,
 };
 pub use report::{CacheStats, EnergyReport, SimReport};
 pub use sweep::{plan_order, run_group, SweepSession};

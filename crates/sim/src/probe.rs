@@ -16,13 +16,16 @@
 //!   and per-bank scratchpad access/conflict counters.
 //! * [`TraceRecorder`] records a Chrome trace-event timeline (one track
 //!   per PE, cache port, stream engine and scratchpad bank) loadable in
-//!   `chrome://tracing` or Perfetto, serialized with [`crate::json`].
+//!   `chrome://tracing` or Perfetto. Each event is a fixed-size 32-byte
+//!   record; [`ChromeTrace::render`] writes the JSON text (~140 bytes per
+//!   event) in one pass, in exactly the layout of [`crate::json`]'s tree
+//!   writer.
 //!
 //! Probes compose: `(&mut A, &mut B)`-style composition is provided via
 //! the tuple implementation, so one simulation can feed both.
 
 use crate::config::SystemConfig;
-use crate::json::Value;
+use crate::json::{render_string, Value};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use tapeflow_ir::OpClass;
@@ -835,6 +838,99 @@ impl SimProbe for AttributionProbe {
     }
 }
 
+/// What a recorded timeline event is. The kind fixes the event's name,
+/// its phase (`M` metadata, `X` slice, `i` instant) and the fields it
+/// renders; the numbers live in [`Event`].
+#[derive(Clone, Copy, Debug)]
+enum EventKind {
+    /// `process_name` metadata; the label is the recorder's name.
+    ProcessName,
+    /// `thread_name` metadata for PE lane `arg`.
+    PeName,
+    /// `thread_name` metadata for cache port `arg`.
+    CachePortName,
+    /// `thread_name` metadata for stream engine `arg` (0 out, 1 in).
+    StreamName,
+    /// `thread_name` metadata for scratchpad bank `arg`.
+    BankName,
+    FpMul,
+    FpLong,
+    FpAlu,
+    Int,
+    Spad,
+    /// Cache slices: `arg` holds the access's `ARG_*` bits.
+    Hit,
+    Miss,
+    MissMshr,
+    /// Stream slices: `arg` is the transfer's byte count.
+    StreamOut,
+    StreamIn,
+    BankConflict,
+    PhaseBarrier,
+}
+
+/// Stream-engine track labels, indexed by direction.
+const STREAM_LABELS: [&str; 2] = ["FWD-Stream (out)", "REV-Stream (in)"];
+
+/// Cache-access bits of [`Event::arg`].
+const ARG_TAPE: u64 = 1;
+const ARG_REV: u64 = 2;
+const ARG_WRITE: u64 = 4;
+
+/// One recorded timeline event: fixed-size and `Copy`, so recording is
+/// a push onto a flat `Vec` with no allocation per event. Metadata
+/// labels are derived from the kind and `arg` when rendering.
+#[derive(Clone, Copy, Debug)]
+struct Event {
+    ts: u64,
+    /// Slice duration, already clamped to at least 1.
+    dur: u64,
+    arg: u64,
+    tid: u32,
+    kind: EventKind,
+}
+
+const _: () = assert!(std::mem::size_of::<Event>() <= 32);
+
+/// Opens an event object and writes its keys up to the `ts` value.
+macro_rules! event_head {
+    ($name:literal, $ph:literal) => {
+        concat!(
+            "{\n      \"name\": \"",
+            $name,
+            "\",\n      \"ph\": \"",
+            $ph,
+            "\",\n      \"ts\": "
+        )
+    };
+}
+
+impl EventKind {
+    /// The event's text up to its first number: `ts` for slices and
+    /// instants, `pid` (supplied by the caller) for metadata.
+    fn head(self) -> &'static str {
+        match self {
+            EventKind::ProcessName => "{\n      \"name\": \"process_name\",\n      \"ph\": \"M\"",
+            EventKind::PeName
+            | EventKind::CachePortName
+            | EventKind::StreamName
+            | EventKind::BankName => "{\n      \"name\": \"thread_name\",\n      \"ph\": \"M\"",
+            EventKind::FpMul => event_head!("fp-mul", "X"),
+            EventKind::FpLong => event_head!("fp-long", "X"),
+            EventKind::FpAlu => event_head!("fp-alu", "X"),
+            EventKind::Int => event_head!("int", "X"),
+            EventKind::Spad => event_head!("spad", "X"),
+            EventKind::Hit => event_head!("hit", "X"),
+            EventKind::Miss => event_head!("miss", "X"),
+            EventKind::MissMshr => event_head!("miss (mshr stall)", "X"),
+            EventKind::StreamOut => event_head!("stream-out", "X"),
+            EventKind::StreamIn => event_head!("stream-in", "X"),
+            EventKind::BankConflict => event_head!("bank conflict", "i"),
+            EventKind::PhaseBarrier => event_head!("phase barrier", "i"),
+        }
+    }
+}
+
 /// Records a Chrome trace-event timeline of one simulation.
 ///
 /// Track layout per process (`pid`): one thread per PE (FP/INT ops are
@@ -842,6 +938,10 @@ impl SimProbe for AttributionProbe {
 /// port, one per stream engine, one per scratchpad bank. Timestamps are
 /// cycles rendered as trace microseconds; events on each track are
 /// emitted in non-decreasing `ts` order.
+///
+/// Each hook appends one fixed-size 32-byte event record; the JSON text
+/// (~140 bytes per event) only exists once [`ChromeTrace::render`]
+/// writes it.
 #[derive(Debug)]
 pub struct TraceRecorder {
     pid: u64,
@@ -850,7 +950,7 @@ pub struct TraceRecorder {
     /// Per-PE-lane busy-until cycle, for greedy lane assignment.
     lanes: Vec<u64>,
     mshr_pending: bool,
-    events: Vec<Value>,
+    events: Vec<Event>,
     /// Hook events that arrived before [`SimProbe::on_start`] announced
     /// the geometry (a driver bug); dropped — with a marker in the
     /// rendered trace — rather than panicking on an opaque `unwrap`.
@@ -892,108 +992,93 @@ impl TraceRecorder {
             .map(|h| (h, self.pre_geometry_drops))
     }
 
-    fn meta(&mut self, which: &str, tid: Option<u64>, name: &str) {
-        let mut args = Value::object();
-        args.set("name", name);
-        let mut e = Value::object();
-        e.set("name", which)
-            .set("ph", "M")
-            .set("pid", self.pid)
-            .set("tid", tid.unwrap_or(0));
-        e.set("args", args);
-        self.events.push(e);
+    #[inline]
+    fn record(&mut self, kind: EventKind, tid: usize, ts: u64, dur: u64, arg: u64) {
+        let tid = u32::try_from(tid).expect("trace track id exceeds u32");
+        self.events.push(Event {
+            ts,
+            dur,
+            arg,
+            tid,
+            kind,
+        });
     }
 
-    fn slice(&mut self, tid: u64, name: &str, ts: u64, dur: u64, args: Option<Value>) {
-        let mut e = Value::object();
-        e.set("name", name)
-            .set("ph", "X")
-            .set("ts", ts)
-            .set("dur", dur.max(1))
-            .set("pid", self.pid)
-            .set("tid", tid);
-        if let Some(a) = args {
-            e.set("args", a);
-        }
-        self.events.push(e);
+    /// A track-naming metadata event; `index` picks the label.
+    fn meta(&mut self, kind: EventKind, tid: usize, index: usize) {
+        self.record(kind, tid, 0, 0, index as u64);
     }
 
-    fn instant(&mut self, tid: u64, name: &str, ts: u64, scope: &str) {
-        let mut e = Value::object();
-        e.set("name", name)
-            .set("ph", "i")
-            .set("ts", ts)
-            .set("pid", self.pid)
-            .set("tid", tid)
-            .set("s", scope);
-        self.events.push(e);
+    fn slice(&mut self, kind: EventKind, tid: usize, ts: u64, dur: u64, arg: u64) {
+        self.record(kind, tid, ts, dur.max(1), arg);
     }
 
-    fn tid_cache(g: &ProbeGeometry, port: usize) -> u64 {
-        (g.pes + port) as u64
+    fn tid_cache(g: &ProbeGeometry, port: usize) -> usize {
+        g.pes + port
     }
 
-    fn tid_stream(g: &ProbeGeometry, dir: usize) -> u64 {
-        (g.pes + g.cache_ports + dir) as u64
+    fn tid_stream(g: &ProbeGeometry, dir: usize) -> usize {
+        g.pes + g.cache_ports + dir
     }
 
-    fn tid_bank(g: &ProbeGeometry, bank: usize) -> u64 {
-        (g.pes + g.cache_ports + 2 + bank) as u64
+    fn tid_bank(g: &ProbeGeometry, bank: usize) -> usize {
+        g.pes + g.cache_ports + 2 + bank
     }
 
-    /// The recorded events (metadata first, then the timeline). If any
-    /// hook fired before the geometry was announced, a marker instant is
-    /// appended so the anomaly is visible in the rendered trace.
-    pub fn into_events(mut self) -> Vec<Value> {
-        if let Some((hook, n)) = self.pre_geometry_drops() {
-            let mut args = Value::object();
-            args.set("dropped", n).set("first_hook", hook);
-            let mut e = Value::object();
-            e.set("name", "pre-geometry events dropped")
-                .set("ph", "i")
-                .set("ts", 0u64)
-                .set("pid", self.pid)
-                .set("tid", 0u64)
-                .set("s", "p");
-            e.set("args", args);
-            self.events.push(e);
-        }
-        self.events
+    /// Closes the recording: if any hook fired before the geometry was
+    /// announced, a marker instant follows the timeline so the anomaly
+    /// is visible in the rendered trace.
+    fn into_part(self) -> TimelinePart {
+        let markers = self
+            .pre_geometry_drops()
+            .map(|(hook, n)| {
+                let mut args = Value::object();
+                args.set("dropped", n).set("first_hook", hook);
+                marker_instant("pre-geometry events dropped", self.pid, args)
+            })
+            .into_iter()
+            .collect();
+        TimelinePart { rec: self, markers }
     }
 
     /// Wraps recorders into one Chrome trace-event document. Load the
     /// rendered text in `chrome://tracing` or <https://ui.perfetto.dev>.
-    pub fn chrome_trace(parts: impl IntoIterator<Item = TraceRecorder>) -> Value {
-        let mut events = Vec::new();
-        for p in parts {
-            events.extend(p.into_events());
+    pub fn chrome_trace(parts: impl IntoIterator<Item = TraceRecorder>) -> ChromeTrace {
+        ChromeTrace {
+            parts: parts.into_iter().map(TraceRecorder::into_part).collect(),
         }
-        let mut doc = Value::object();
-        doc.set("displayTimeUnit", "ns")
-            .set("traceEvents", Value::Arr(events));
-        doc
     }
+}
+
+/// A process-scoped marker instant at `ts` 0 carrying `args`.
+fn marker_instant(name: &str, pid: u64, args: Value) -> Value {
+    let mut e = Value::object();
+    e.set("name", name)
+        .set("ph", "i")
+        .set("ts", 0u64)
+        .set("pid", pid)
+        .set("tid", 0u64)
+        .set("s", "p");
+    e.set("args", args);
+    e
 }
 
 impl SimProbe for TraceRecorder {
     fn on_start(&mut self, geom: &ProbeGeometry) {
         self.geom = Some(*geom);
         self.lanes = vec![0; geom.pes];
-        self.meta("process_name", None, &self.name.clone());
+        self.meta(EventKind::ProcessName, 0, 0);
         for p in 0..geom.pes {
-            self.meta("thread_name", Some(p as u64), &format!("PE {p}"));
+            self.meta(EventKind::PeName, p, p);
         }
         for c in 0..geom.cache_ports {
-            let tid = Self::tid_cache(geom, c);
-            self.meta("thread_name", Some(tid), &format!("cache port {c}"));
+            self.meta(EventKind::CachePortName, Self::tid_cache(geom, c), c);
         }
-        for (dir, label) in ["FWD-Stream (out)", "REV-Stream (in)"].iter().enumerate() {
-            let tid = Self::tid_stream(geom, dir);
-            self.meta("thread_name", Some(tid), label);
+        for dir in 0..STREAM_LABELS.len() {
+            self.meta(EventKind::StreamName, Self::tid_stream(geom, dir), dir);
         }
         for b in 0..geom.spad_banks {
-            let tid = Self::tid_bank(geom, b);
-            self.meta("thread_name", Some(tid), &format!("spad bank {b}"));
+            self.meta(EventKind::BankName, Self::tid_bank(geom, b), b);
         }
     }
 
@@ -1005,12 +1090,12 @@ impl SimProbe for TraceRecorder {
             .min_by_key(|&i| self.lanes[i])
             .unwrap_or(0);
         self.lanes[lane] = self.lanes[lane].max(fin);
-        let name = match class {
-            OpClass::FpMul => "fp-mul",
-            OpClass::FpLong => "fp-long",
-            _ => "fp-alu",
+        let kind = match class {
+            OpClass::FpMul => EventKind::FpMul,
+            OpClass::FpLong => EventKind::FpLong,
+            _ => EventKind::FpAlu,
         };
-        self.slice(lane as u64, name, now, fin - now, None);
+        self.slice(kind, lane, now, fin - now, 0);
     }
 
     fn on_int_issue(&mut self, now: u64, fin: u64, _node: u32) {
@@ -1021,28 +1106,27 @@ impl SimProbe for TraceRecorder {
             .min_by_key(|&i| self.lanes[i])
             .unwrap_or(0);
         self.lanes[lane] = self.lanes[lane].max(fin);
-        self.slice(lane as u64, "int", now, fin - now, None);
+        self.slice(EventKind::Int, lane, now, fin - now, 0);
     }
 
     fn on_cache_access(&mut self, ev: &CacheAccessEvent) {
         let Some(g) = self.geom_or_drop("on_cache_access") else {
             return;
         };
-        let name = match (ev.hit, std::mem::take(&mut self.mshr_pending)) {
-            (true, _) => "hit",
-            (false, false) => "miss",
-            (false, true) => "miss (mshr stall)",
+        let kind = match (ev.hit, std::mem::take(&mut self.mshr_pending)) {
+            (true, _) => EventKind::Hit,
+            (false, false) => EventKind::Miss,
+            (false, true) => EventKind::MissMshr,
         };
-        let mut args = Value::object();
-        args.set("tape", Value::Bool(ev.is_tape))
-            .set("rev", Value::Bool(ev.is_rev))
-            .set("write", Value::Bool(ev.is_write));
+        let bits = (ARG_TAPE * u64::from(ev.is_tape))
+            | (ARG_REV * u64::from(ev.is_rev))
+            | (ARG_WRITE * u64::from(ev.is_write));
         self.slice(
+            kind,
             Self::tid_cache(&g, ev.port),
-            name,
             ev.now,
             ev.fin.saturating_sub(ev.now),
-            Some(args),
+            bits,
         );
     }
 
@@ -1054,47 +1138,218 @@ impl SimProbe for TraceRecorder {
         let Some(g) = self.geom_or_drop("on_spad_access") else {
             return;
         };
-        self.slice(Self::tid_bank(&g, bank), "spad", now, fin - now, None);
+        self.slice(EventKind::Spad, Self::tid_bank(&g, bank), now, fin - now, 0);
     }
 
     fn on_spad_conflict(&mut self, now: u64, bank: usize, _node: u32) {
         let Some(g) = self.geom_or_drop("on_spad_conflict") else {
             return;
         };
-        self.instant(Self::tid_bank(&g, bank), "bank conflict", now, "t");
+        self.record(EventKind::BankConflict, Self::tid_bank(&g, bank), now, 0, 0);
     }
 
     fn on_stream(&mut self, now: u64, _bw_done: u64, fin: u64, dir: usize, bytes: u64, _node: u32) {
         let Some(g) = self.geom_or_drop("on_stream") else {
             return;
         };
-        let mut args = Value::object();
-        args.set("bytes", bytes);
-        let name = if dir == 0 { "stream-out" } else { "stream-in" };
-        self.slice(Self::tid_stream(&g, dir), name, now, fin - now, Some(args));
+        let kind = if dir == 0 {
+            EventKind::StreamOut
+        } else {
+            EventKind::StreamIn
+        };
+        self.slice(kind, Self::tid_stream(&g, dir), now, fin - now, bytes);
     }
 
     fn on_phase_barrier(&mut self, at: u64) {
-        self.instant(0, "phase barrier", at, "p");
+        self.record(EventKind::PhaseBarrier, 0, at, 0, 0);
+    }
+}
+
+/// One recorder's share of a [`ChromeTrace`]: its timeline, then the
+/// rare marker instants that close it (at most two, kept as JSON trees).
+#[derive(Debug)]
+struct TimelinePart {
+    rec: TraceRecorder,
+    markers: Vec<Value>,
+}
+
+/// A Chrome trace-event document over one or more recorders, returned by
+/// [`TraceRecorder::chrome_trace`] and [`SamplingProbe::chrome_trace`].
+///
+/// [`Self::render`] writes the document in one pass over the compact
+/// events, byte-identical to building it as a [`Value`] tree and calling
+/// [`Value::render`]: 2-space layout, keys `name, ph, ts, dur, pid, tid,
+/// args` for slices and `name, ph, ts, pid, tid, s` for instants.
+#[derive(Debug)]
+pub struct ChromeTrace {
+    parts: Vec<TimelinePart>,
+}
+
+/// Where [`ChromeTrace::write`] puts the document: the output `String`,
+/// or a byte counter that sizes that `String` exactly beforehand.
+trait Sink {
+    fn text(&mut self, s: &str);
+    fn num(&mut self, n: u64);
+}
+
+impl Sink for String {
+    #[inline]
+    fn text(&mut self, s: &str) {
+        self.push_str(s);
+    }
+
+    #[inline]
+    fn num(&mut self, mut n: u64) {
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+    }
+}
+
+struct Measure(usize);
+
+impl Sink for Measure {
+    #[inline]
+    fn text(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+
+    #[inline]
+    fn num(&mut self, n: u64) {
+        self.0 += n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    }
+}
+
+impl ChromeTrace {
+    /// The document as pretty-printed JSON with a trailing newline.
+    pub fn render(&self) -> String {
+        let mut len = Measure(0);
+        self.write(&mut len);
+        let mut out = String::with_capacity(len.0);
+        self.write(&mut out);
+        debug_assert_eq!(out.len(), len.0, "Chrome trace size pass disagrees");
+        out
+    }
+
+    fn write(&self, out: &mut impl Sink) {
+        out.text("{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": ");
+        // The first element opens the array; an empty one renders `[]`.
+        let mut sep = "[\n    ";
+        let mut scratch = String::new();
+        for part in &self.parts {
+            let pid_tid = format!(",\n      \"pid\": {},\n      \"tid\": ", part.rec.pid);
+            for e in &part.rec.events {
+                out.text(sep);
+                sep = ",\n    ";
+                Self::write_event(out, e, &pid_tid, &part.rec.name, &mut scratch);
+            }
+            for m in &part.markers {
+                out.text(sep);
+                sep = ",\n    ";
+                scratch.clear();
+                m.render_into(&mut scratch, 2);
+                out.text(&scratch);
+            }
+        }
+        out.text(if sep.starts_with('[') { "[]" } else { "\n  ]" });
+        out.text("\n}\n");
+    }
+
+    /// Writes one event object at the `traceEvents` element depth.
+    /// `pid_tid` is the part's `pid` field plus the `tid` key; `process`
+    /// labels its `process_name` metadata.
+    #[inline]
+    fn write_event(
+        out: &mut impl Sink,
+        e: &Event,
+        pid_tid: &str,
+        process: &str,
+        scratch: &mut String,
+    ) {
+        out.text(e.kind.head());
+        let label = match e.kind {
+            EventKind::ProcessName => Some(process.to_string()),
+            EventKind::PeName => Some(format!("PE {}", e.arg)),
+            EventKind::CachePortName => Some(format!("cache port {}", e.arg)),
+            EventKind::StreamName => Some(STREAM_LABELS[e.arg as usize].to_string()),
+            EventKind::BankName => Some(format!("spad bank {}", e.arg)),
+            _ => None,
+        };
+        if let Some(label) = label {
+            out.text(pid_tid);
+            out.num(e.tid.into());
+            out.text(",\n      \"args\": {\n        \"name\": ");
+            scratch.clear();
+            render_string(scratch, &label);
+            out.text(scratch);
+            out.text("\n      }\n    }");
+            return;
+        }
+        out.num(e.ts);
+        let instant_scope = match e.kind {
+            EventKind::BankConflict => Some("t"),
+            EventKind::PhaseBarrier => Some("p"),
+            _ => None,
+        };
+        if let Some(scope) = instant_scope {
+            out.text(pid_tid);
+            out.num(e.tid.into());
+            out.text(",\n      \"s\": \"");
+            out.text(scope);
+            out.text("\"\n    }");
+            return;
+        }
+        out.text(",\n      \"dur\": ");
+        out.num(e.dur);
+        out.text(pid_tid);
+        out.num(e.tid.into());
+        match e.kind {
+            EventKind::Hit | EventKind::Miss | EventKind::MissMshr => {
+                let flag = |bit: u64| if e.arg & bit != 0 { "true" } else { "false" };
+                out.text(",\n      \"args\": {\n        \"tape\": ");
+                out.text(flag(ARG_TAPE));
+                out.text(",\n        \"rev\": ");
+                out.text(flag(ARG_REV));
+                out.text(",\n        \"write\": ");
+                out.text(flag(ARG_WRITE));
+                out.text("\n      }");
+            }
+            EventKind::StreamOut | EventKind::StreamIn => {
+                out.text(",\n      \"args\": {\n        \"bytes\": ");
+                out.num(e.arg);
+                out.text("\n      }");
+            }
+            _ => {}
+        }
+        out.text("\n    }");
     }
 }
 
 /// A timeline recorder with deterministic 1-in-N window sampling, for
 /// `--trace-out` at scales where a full [`TraceRecorder`] timeline would
-/// not fit in memory.
+/// make an unwieldy file.
 ///
 /// Time is cut into fixed windows of `window` cycles; every `stride`-th
 /// window (the ones where `(cycle / window) % stride == 0`, starting with
 /// window 0) is recorded in full, the rest are skipped. The schedule is a
 /// pure function of the cycle number — fixed stride, no host RNG — so two
 /// runs of the same simulation sample identical slices and the rendered
-/// trace is byte-stable. Memory is bounded by construction to roughly a
-/// `1/stride` fraction of the full timeline.
+/// trace is byte-stable. Events, and with them the rendered file, shrink
+/// to roughly a `1/stride` fraction of the full timeline; since a
+/// recorded event is only 32 bytes, the saving is mostly file size.
 ///
-/// Skipped-window events are dropped at the hook, before any allocation.
-/// Phase-barrier markers are always kept (there is at most one), and the
-/// rendered trace carries a `sampling` metadata instant naming the
-/// window, stride and recorded fraction.
+/// Skipped-window events are dropped at the hook. Phase-barrier markers
+/// are always kept (there is at most one), and the rendered trace
+/// carries a `sampling` metadata instant naming the window, stride and
+/// recorded fraction.
 #[derive(Debug)]
 pub struct SamplingProbe {
     inner: TraceRecorder,
@@ -1141,37 +1396,24 @@ impl SamplingProbe {
         self.recorded_cycles(self.cycles) as f64 / self.cycles as f64
     }
 
-    /// The recorded events, with a `sampling` metadata instant appended
-    /// (window, stride, recorded fraction).
-    pub fn into_events(self) -> Vec<Value> {
-        let mut args = Value::object();
-        args.set("window_cycles", self.window)
-            .set("stride", self.stride)
-            .set("recorded_fraction", self.recorded_fraction());
-        let mut e = Value::object();
-        e.set("name", "sampling")
-            .set("ph", "i")
-            .set("ts", 0u64)
-            .set("pid", self.inner.pid)
-            .set("tid", 0u64)
-            .set("s", "p");
-        e.set("args", args);
-        let mut events = self.inner.into_events();
-        events.push(e);
-        events
-    }
-
     /// Wraps sampling recorders into one Chrome trace-event document
-    /// (same envelope as [`TraceRecorder::chrome_trace`]).
-    pub fn chrome_trace(parts: impl IntoIterator<Item = SamplingProbe>) -> Value {
-        let mut events = Vec::new();
-        for p in parts {
-            events.extend(p.into_events());
+    /// (same envelope as [`TraceRecorder::chrome_trace`]); each
+    /// recorder's events end with a `sampling` metadata instant (window,
+    /// stride, recorded fraction).
+    pub fn chrome_trace(parts: impl IntoIterator<Item = SamplingProbe>) -> ChromeTrace {
+        let parts = parts.into_iter().map(|p| {
+            let mut args = Value::object();
+            args.set("window_cycles", p.window)
+                .set("stride", p.stride)
+                .set("recorded_fraction", p.recorded_fraction());
+            let marker = marker_instant("sampling", p.inner.pid, args);
+            let mut part = p.inner.into_part();
+            part.markers.push(marker);
+            part
+        });
+        ChromeTrace {
+            parts: parts.collect(),
         }
-        let mut doc = Value::object();
-        doc.set("displayTimeUnit", "ns")
-            .set("traceEvents", Value::Arr(events));
-        doc
     }
 }
 
@@ -1244,6 +1486,12 @@ mod tests {
     use crate::engine::{simulate, simulate_probed, SimOptions};
     use tapeflow_ir::trace::{trace_function, TraceOptions};
     use tapeflow_ir::{ArrayKind, FunctionBuilder, Memory, Scalar};
+
+    /// The `traceEvents` of a rendered document, parsed back.
+    fn rendered_events(doc: ChromeTrace) -> Vec<Value> {
+        let doc = Value::parse(&doc.render()).unwrap();
+        doc.get("traceEvents").unwrap().as_arr().unwrap().to_vec()
+    }
 
     fn run_probed(
         build: impl FnOnce(&mut FunctionBuilder),
@@ -1447,7 +1695,7 @@ mod tests {
         assert_eq!(hook, "on_cache_access", "first offending hook named");
         assert_eq!(n, 6);
         // The rendered trace carries a marker for the anomaly.
-        let events = rec.into_events();
+        let events = rendered_events(TraceRecorder::chrome_trace([rec]));
         let marker = events
             .iter()
             .find(|e| e.get("name").and_then(Value::as_str) == Some("pre-geometry events dropped"))
@@ -1467,7 +1715,7 @@ mod tests {
         rec.on_start(&ProbeGeometry::of(&cfg, false));
         rec.on_fp_issue(0, 3, OpClass::FpAlu, 0);
         assert_eq!(rec.pre_geometry_drops(), None);
-        let events = rec.into_events();
+        let events = rendered_events(TraceRecorder::chrome_trace([rec]));
         assert!(events
             .iter()
             .all(|e| e.get("name").and_then(Value::as_str) != Some("pre-geometry events dropped")));
@@ -1549,11 +1797,10 @@ mod tests {
         let trace = trace_function(&f, &mut mem, TraceOptions::default()).unwrap();
         let mut rec = TraceRecorder::new(7, "unit");
         simulate_probed(&trace, &cfg, &SimOptions::default(), &mut rec);
-        let doc = TraceRecorder::chrome_trace([rec]);
-        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let events = rendered_events(TraceRecorder::chrome_trace([rec]));
         assert!(!events.is_empty());
         let mut last_ts: std::collections::BTreeMap<(u64, u64), u64> = Default::default();
-        for e in events {
+        for e in &events {
             if e.get("ph").and_then(Value::as_str) != Some("X") {
                 continue;
             }

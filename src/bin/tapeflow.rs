@@ -52,11 +52,13 @@
 //! (`variant;region;layer;source;op count` — render with inferno,
 //! flamegraph.pl or speedscope). `--sample N` records the `--trace-out`
 //! timeline in 1-in-N windows of 256 cycles (deterministic fixed-stride
-//! schedule, no RNG), bounding trace memory at `--scale large`; the
+//! schedule, no RNG), bounding the trace file at `--scale large`; the
 //! phase barrier is always kept and a `sampling` metadata instant names
-//! the recorded fraction. Output paths are validated up front — an
-//! unwritable `--trace-out`/`--json`/`--flame-out` is a usage error
-//! (exit 2) before the simulation runs, not a panic after it.
+//! the recorded fraction. `--sample` without `--trace-out`, and
+//! `--trace-out` on any command but `profile`, are usage errors (exit 2).
+//! Output paths are validated up front — an unwritable
+//! `--trace-out`/`--json`/`--flame-out` is a usage error (exit 2) before
+//! the simulation runs, not a panic after it.
 //!
 //! `simulate` and `profile` default to the event-driven simulator core;
 //! `--engine legacy` selects the scalar per-cycle reference engine
@@ -303,6 +305,19 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<(String, Args), 
             f if args.file.is_empty() && !f.starts_with("--") => args.file = f.to_string(),
             other => return Err(format!("unknown argument {other:?}")),
         }
+    }
+    // Only `profile` records a timeline; a timeline flag anywhere else
+    // would be silently dropped, so it is a usage error instead.
+    if args.trace_out.is_some() && cmd != "profile" {
+        return Err(format!(
+            "--trace-out is not recorded by `{cmd}`; the Chrome-trace timeline \
+             comes from `tapeflow profile FILE --trace-out PATH`"
+        ));
+    }
+    if args.sample.is_some() && args.trace_out.is_none() {
+        return Err("--sample N only thins a --trace-out timeline; use \
+                    `tapeflow profile FILE --trace-out PATH --sample N`"
+            .into());
     }
     let standalone =
         cmd == "passes" || cmd == "bench-host" || (cmd == "lint" && args.explain.is_some());

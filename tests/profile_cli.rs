@@ -334,6 +334,43 @@ fn unwritable_output_path_is_a_structured_usage_error() {
     }
 }
 
+/// Timeline flags outside their one working combination
+/// (`profile --trace-out [--sample N]`) are usage errors that name the
+/// working form, never silently ignored.
+#[test]
+fn timeline_flags_without_a_timeline_are_usage_errors() {
+    let stray = target_tmp("simulate_trace_out.json");
+    let _ = std::fs::remove_file(&stray);
+    let simulate = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_tapeflow"))
+            .args(["simulate", "gravity", "--scale", "tiny"])
+            .args(extra)
+            .output()
+            .expect("run tapeflow simulate")
+    };
+    for (what, out) in [
+        (
+            "simulate --trace-out",
+            simulate(&["--trace-out", stray.to_str().unwrap()]),
+        ),
+        ("simulate --sample", simulate(&["--sample", "8"])),
+        ("profile --sample", run_profile(&["--sample", "8"])),
+    ] {
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{what}: expected usage-error exit"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("tapeflow profile FILE --trace-out PATH"),
+            "{what}: error does not point to profile --trace-out: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{what}: ran despite the usage error");
+    }
+    assert!(!stray.exists(), "simulate wrote a trace file");
+}
+
 #[test]
 fn validates_trace_file_from_env() {
     let Some(path) = std::env::var_os("TAPEFLOW_TRACE_VALIDATE") else {
