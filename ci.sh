@@ -9,6 +9,10 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (workspace, -D warnings) =="
+# Broken or private intra-doc links fail the build like lint warnings.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "== tier-1 verify =="
 cargo build --release
 cargo test -q

@@ -38,9 +38,7 @@ use std::time::Instant;
 use tapeflow_benchmarks::{by_name, Scale, NAMES};
 use tapeflow_ir::Trace;
 use tapeflow_sim::json::Value;
-use tapeflow_sim::{
-    try_simulate_probed_with, Engine, NoProbe, SimOptions, SweepSession, SystemConfig,
-};
+use tapeflow_sim::{legacy, NoProbe, SimOptions, SweepSession, SystemConfig};
 
 const KIB: usize = 1024;
 
@@ -205,7 +203,7 @@ fn time_legacy(
         let start = Instant::now();
         let mut cycles = 0u64;
         for (sys, trace) in units {
-            cycles += try_simulate_probed_with(Engine::Legacy, trace, sys, opts, &mut NoProbe)
+            cycles += legacy::try_simulate_probed(trace, sys, opts, &mut NoProbe)
                 .expect("sweep traces fit the index limits")
                 .cycles;
         }

@@ -12,9 +12,37 @@ use tapeflow_bench::experiments::Lab;
 use tapeflow_bench::harness::{sys_for, Config, Prepared, SweepPlanner};
 use tapeflow_benchmarks::{by_name, Scale, NAMES};
 use tapeflow_sim::{
-    simulate_prepared, try_simulate_probed_with, AttributionProbe, Engine, NoProbe, SimOptions,
-    SweepSession, SystemConfig, TraceRecorder,
+    legacy, simulate_prepared, try_simulate_probed, AttributionProbe, NoProbe, SimError,
+    SimOptions, SimReport, SweepSession, SystemConfig, TraceRecorder,
 };
+
+/// A fresh attribution + timeline probe. Same pid/name on both engines:
+/// the Chrome traces can only differ if the simulated timelines differ.
+fn probe(name: &str) -> (AttributionProbe, TraceRecorder) {
+    (AttributionProbe::new(), TraceRecorder::new(1, name))
+}
+
+/// The observable artifacts of one probed run on `engine`: rendered
+/// report JSON, the invariant-checked stall attribution and the Chrome
+/// trace.
+fn artifacts(
+    label: &str,
+    engine: &str,
+    report: Result<SimReport, SimError>,
+    probe: (AttributionProbe, TraceRecorder),
+) -> (String, String, String) {
+    let report = report.unwrap_or_else(|e| panic!("{label}: {engine} failed: {e}"));
+    let (attr, recorder) = probe;
+    let breakdown = attr.into_breakdown();
+    breakdown
+        .check()
+        .unwrap_or_else(|e| panic!("{label}: {engine} attribution broke: {e}"));
+    (
+        report.to_json().render(),
+        breakdown.to_json().render(),
+        TraceRecorder::chrome_trace([recorder]).render(),
+    )
+}
 
 /// Program variants exercised per benchmark: the Enzyme baseline and
 /// the Tapeflow build at the default cache, plus a thrash-sized cache
@@ -39,25 +67,12 @@ fn reports_attributions_and_traces_match_across_engines() {
             };
             let sys = sys_for(&config);
             let label = format!("{name}/{}", config.label());
-            let mut runs = Vec::new();
-            for engine in [Engine::Event, Engine::Legacy] {
-                // Same pid/name on both engines: the Chrome traces can
-                // only differ if the simulated timelines differ.
-                let mut probe = (AttributionProbe::new(), TraceRecorder::new(1, name));
-                let report = try_simulate_probed_with(engine, &trace, &sys, &opts, &mut probe)
-                    .unwrap_or_else(|e| panic!("{label}: {engine:?} failed: {e}"));
-                let (attr, recorder) = probe;
-                let breakdown = attr.into_breakdown();
-                breakdown
-                    .check()
-                    .unwrap_or_else(|e| panic!("{label}: {engine:?} attribution broke: {e}"));
-                runs.push((
-                    report.to_json().render(),
-                    breakdown.to_json().render(),
-                    TraceRecorder::chrome_trace([recorder]).render(),
-                ));
-            }
-            let (legacy, event) = (runs.pop().unwrap(), runs.pop().unwrap());
+            let mut p_event = probe(name);
+            let r_event = try_simulate_probed(&trace, &sys, &opts, &mut p_event);
+            let event = artifacts(&label, "event", r_event, p_event);
+            let mut p_legacy = probe(name);
+            let r_legacy = legacy::try_simulate_probed(&trace, &sys, &opts, &mut p_legacy);
+            let legacy = artifacts(&label, "legacy", r_legacy, p_legacy);
             assert_eq!(event.0, legacy.0, "{label}: report JSON differs");
             assert_eq!(event.1, legacy.1, "{label}: stall attribution differs");
             assert_eq!(event.2, legacy.2, "{label}: chrome trace differs");
@@ -79,18 +94,23 @@ fn probes_do_not_perturb_reports() {
         let config = Config::enzyme(32 * 1024);
         let trace = p.try_trace_shared(&config).expect("gradient always traces");
         let sys = sys_for(&config);
-        for engine in [Engine::Event, Engine::Legacy] {
-            let bare = try_simulate_probed_with(engine, &trace, &sys, &opts, &mut NoProbe)
-                .expect("bare run");
-            let mut probe = (AttributionProbe::new(), TraceRecorder::new(1, name));
-            let probed = try_simulate_probed_with(engine, &trace, &sys, &opts, &mut probe)
-                .expect("probed run");
-            assert_eq!(
-                bare.to_json().render(),
-                probed.to_json().render(),
-                "{name}: {engine:?} probe perturbed the report"
-            );
-        }
+        let bare = try_simulate_probed(&trace, &sys, &opts, &mut NoProbe).expect("bare run");
+        let probed =
+            try_simulate_probed(&trace, &sys, &opts, &mut probe(name)).expect("probed run");
+        assert_eq!(
+            bare.to_json().render(),
+            probed.to_json().render(),
+            "{name}: event probe perturbed the report"
+        );
+        let bare =
+            legacy::try_simulate_probed(&trace, &sys, &opts, &mut NoProbe).expect("bare run");
+        let probed =
+            legacy::try_simulate_probed(&trace, &sys, &opts, &mut probe(name)).expect("probed run");
+        assert_eq!(
+            bare.to_json().render(),
+            probed.to_json().render(),
+            "{name}: legacy probe perturbed the report"
+        );
     }
 }
 
@@ -154,23 +174,12 @@ fn cross_parameter_sweeps_derive_cold_runs_on_spad_stream_traces() {
             let derived = session.simulate(sys).to_json().render();
             let event = simulate_prepared(&prep, sys, &opts).to_json().render();
             assert_eq!(derived, event, "{label}: session vs cold event run");
-            let mut runs = Vec::new();
-            for engine in [Engine::Event, Engine::Legacy] {
-                let mut probe = (AttributionProbe::new(), TraceRecorder::new(1, name));
-                let report = try_simulate_probed_with(engine, &trace, sys, &opts, &mut probe)
-                    .unwrap_or_else(|e| panic!("{label}: {engine:?} failed: {e}"));
-                let (attr, recorder) = probe;
-                let breakdown = attr.into_breakdown();
-                breakdown
-                    .check()
-                    .unwrap_or_else(|e| panic!("{label}: {engine:?} attribution broke: {e}"));
-                runs.push((
-                    report.to_json().render(),
-                    breakdown.to_json().render(),
-                    TraceRecorder::chrome_trace([recorder]).render(),
-                ));
-            }
-            let (legacy, probed) = (runs.pop().unwrap(), runs.pop().unwrap());
+            let mut p_event = probe(name);
+            let r_event = try_simulate_probed(&trace, sys, &opts, &mut p_event);
+            let probed = artifacts(&label, "event", r_event, p_event);
+            let mut p_legacy = probe(name);
+            let r_legacy = legacy::try_simulate_probed(&trace, sys, &opts, &mut p_legacy);
+            let legacy = artifacts(&label, "legacy", r_legacy, p_legacy);
             assert_eq!(derived, legacy.0, "{label}: session vs legacy oracle");
             assert_eq!(probed.0, legacy.0, "{label}: report JSON differs");
             assert_eq!(probed.1, legacy.1, "{label}: stall attribution differs");
@@ -217,9 +226,8 @@ fn planner_reports_match_cold_runs_at_any_job_count() {
                     let trace = p
                         .try_trace_shared(config)
                         .expect("feasible unit has a trace");
-                    let legacy =
-                        try_simulate_probed_with(Engine::Legacy, &trace, sys, &opts, &mut NoProbe)
-                            .expect("legacy run");
+                    let legacy = legacy::try_simulate_probed(&trace, sys, &opts, &mut NoProbe)
+                        .expect("legacy run");
                     assert_eq!(
                         derived,
                         legacy.to_json().render(),
@@ -271,11 +279,10 @@ fn sweep_session_derives_cold_run_reports() {
             let sys = SystemConfig::with_cache_bytes(bytes);
             let derived = session.simulate(&sys).to_json().render();
             let event = simulate_prepared(&prep, &sys, &opts).to_json().render();
-            let legacy =
-                try_simulate_probed_with(Engine::Legacy, &trace, &sys, &opts, &mut NoProbe)
-                    .expect("legacy run")
-                    .to_json()
-                    .render();
+            let legacy = legacy::try_simulate_probed(&trace, &sys, &opts, &mut NoProbe)
+                .expect("legacy run")
+                .to_json()
+                .render();
             assert_eq!(derived, event, "{name}@{bytes}: session vs cold event run");
             assert_eq!(derived, legacy, "{name}@{bytes}: session vs legacy oracle");
         }

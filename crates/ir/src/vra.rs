@@ -400,13 +400,13 @@ pub fn value_ranges(func: &Function) -> ValueRanges {
 /// The function must pass [`crate::verify::verify`]. The result is
 /// deterministic for a given `(func, cfg)` pair.
 pub fn value_ranges_with(func: &Function, cfg: &VraConfig) -> ValueRanges {
-    let mut eng = Engine::new(func, *cfg);
+    let mut eng = Analyzer::new(func, *cfg);
     eng.exec_block(&func.body);
     eng.finish()
 }
 
 // ---------------------------------------------------------------------------
-// The engine
+// The analyzer
 // ---------------------------------------------------------------------------
 
 /// Join accumulator: ⊥ (never evaluated) → range → ⊤.
@@ -440,7 +440,7 @@ enum Content {
     Float(Option<FloatRange>),
 }
 
-struct Engine<'f> {
+struct Analyzer<'f> {
     func: &'f Function,
     cfg: VraConfig,
     /// Current environment (per evaluation of an instruction).
@@ -462,7 +462,7 @@ struct Engine<'f> {
     nonfinite: HashMap<usize, Diagnostic>,
 }
 
-impl<'f> Engine<'f> {
+impl<'f> Analyzer<'f> {
     fn new(func: &'f Function, cfg: VraConfig) -> Self {
         let nv = func.values().len();
         let mut int = vec![None; nv];
@@ -477,7 +477,7 @@ impl<'f> Engine<'f> {
         let content = func.arrays().iter().map(seed_content).collect();
         let mut loop_cost = HashMap::new();
         block_cost(func, &func.body, &mut loop_cost);
-        Engine {
+        Analyzer {
             func,
             cfg,
             int,

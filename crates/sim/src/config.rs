@@ -337,9 +337,8 @@ fn policy_bits(p: ReplacementPolicy) -> u64 {
 ///   DRAM traffic.
 /// * `pe` — datapath issue widths and latencies; must match.
 /// * `energy` — per-access energy table. Never blocks chaining: energy
-///   is recomputed from the final counters
-///   ([`crate::engine::recompute_energy`]), not accumulated during the
-///   run.
+///   is recomputed from the final counters when a run finishes, not
+///   accumulated during the run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClassPrints {
     /// Cache size/assoc/policy (replay-validated).

@@ -11,33 +11,27 @@
 //!
 //! ## Host-throughput architecture
 //!
-//! The scheduler runs off a [`PreparedSim`] arena — a config-independent
-//! struct-of-arrays flattening of the trace (dependence CSR, fused
-//! ready/indegree state, per-node class/address/flags) built once and
-//! reused across an entire parameter sweep. The hot loop never touches
-//! the trace's per-node heap-allocated `deps` vectors, keeps a single
-//! reusable conflict scratch buffer instead of a per-cycle allocation,
-//! and **gap-skips**: whenever nothing can issue before the next
-//! engine-free or node-ready boundary, time jumps straight there instead
-//! of crawling cycle by cycle.
+//! One scheduler loop ([`simulate_prepared_probed`] drives it) serves
+//! every run — plain, probed, recorded and resumed. It runs off a
+//! [`PreparedSim`] arena — a config-independent struct-of-arrays
+//! flattening of the trace (dependence CSR, fused ready/indegree state,
+//! per-node class/address/flags) built once and reused across an entire
+//! parameter sweep. Ready nodes come off a calendar event queue (a time
+//! wheel with an occupancy bitmap), one id-sorted batch per occupied
+//! cycle; the loop keeps a single reusable conflict scratch buffer
+//! instead of a per-cycle allocation, and **gap-skips**: whenever
+//! nothing can issue before the next engine-free or node-ready boundary,
+//! time jumps straight there instead of crawling cycle by cycle.
 //!
-//! On top of that, unprobed runs (statically known via
-//! [`SimProbe::IS_NOOP`]) serve the in-order FP and integer issue queues
-//! *analytically*: the event heap pops ready nodes in exactly the order
-//! they would have entered those queues, and a width-limited in-order
-//! queue has a two-word closed form ([`IssueSrv`]) that assigns each op
-//! its exact issue cycle — contention included — without queue
-//! round-trips or per-cycle crawling. Traces that never touch the
-//! scratchpad or stream engines (every non-streaming variant) drop the
-//! cycle loop entirely and run as a pure event loop ([`run_dataflow`])
-//! in which the memory queue is served by the same closed form plus the
-//! MSHR stall rule. All of this is schedule-preserving, not
-//! approximate: reports, stall attributions and timelines stay
-//! byte-identical to the scalar loop (kept in [`crate::legacy`] behind
-//! `--engine legacy` and pinned by the cross-engine equivalence suite).
-//! Probes are not announced skipped cycles individually;
+//! Gap-skipping is schedule-preserving, not approximate: reports, stall
+//! attributions and timelines stay byte-identical to the scalar loop it
+//! replaced (kept in [`crate::legacy`] as a directly-called oracle and
+//! pinned by the cross-engine equivalence suite). Probes are not
+//! announced skipped cycles individually;
 //! [`crate::probe::AttributionProbe`] attributes them run-length-wise
 //! from in-flight state, preserving `sum(attributed) == cycles * PEs`.
+//! A [`crate::sweep::SweepSession`] records the same loop's cache
+//! access stream and resumes it from checkpoints of its full state.
 
 use crate::cache::Cache;
 use crate::config::{EnergyTable, SystemConfig};
@@ -54,37 +48,6 @@ pub struct SimOptions {
     /// Record each node's completion cycle in the report (needed by the
     /// lifetime characterizations; costs one `u64` per node).
     pub record_node_times: bool,
-}
-
-/// Which scheduler core to run. The event-driven core is the default;
-/// the scalar loop it replaced remains available for one release as an
-/// escape hatch (`--engine legacy`) and as the equivalence oracle.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// The event-driven, gap-skipping core (this module).
-    #[default]
-    Event,
-    /// The previous scalar per-cycle loop ([`crate::legacy`]).
-    Legacy,
-}
-
-impl Engine {
-    /// Parses a CLI engine name.
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "event" => Some(Engine::Event),
-            "legacy" => Some(Engine::Legacy),
-            _ => None,
-        }
-    }
-
-    /// The CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Event => "event",
-            Engine::Legacy => "legacy",
-        }
-    }
 }
 
 /// How many queued accesses a banked resource may inspect per cycle
@@ -166,21 +129,6 @@ pub fn try_simulate_probed<P: SimProbe>(
     Ok(simulate_prepared_probed(&prep, cfg, opts, probe))
 }
 
-/// Fallible simulation on the engine selected by `engine` — the CLI's
-/// dispatch point for the `--engine` flag.
-pub fn try_simulate_probed_with<P: SimProbe>(
-    engine: Engine,
-    trace: &Trace,
-    cfg: &SystemConfig,
-    opts: &SimOptions,
-    probe: &mut P,
-) -> Result<SimReport, SimError> {
-    match engine {
-        Engine::Event => try_simulate_probed(trace, cfg, opts, probe),
-        Engine::Legacy => crate::legacy::try_simulate_probed(trace, cfg, opts, probe),
-    }
-}
-
 /// Simulates a [`PreparedSim`] arena on `cfg` — the sweep entry point:
 /// prepare once, simulate every configuration.
 pub fn simulate_prepared(prep: &PreparedSim, cfg: &SystemConfig, opts: &SimOptions) -> SimReport {
@@ -194,83 +142,22 @@ pub fn simulate_prepared_probed<P: SimProbe>(
     opts: &SimOptions,
     probe: &mut P,
 ) -> SimReport {
-    // Fast path: when the probe statically observes nothing
-    // ([`SimProbe::IS_NOOP`]) and the trace/config pair admits the
-    // analytic service disciplines, the per-cycle loop drops away
-    // entirely ([`dataflow_loop`]). Probed runs keep the per-cycle core
-    // so every hook fires in the legacy order.
-    if P::IS_NOOP && dataflow_ok(prep, cfg) {
-        let mut st = DfState::new(prep, cfg);
-        let mut cache = Cache::new(cfg.cache);
-        dataflow_loop::<false>(prep, cfg, &mut st, &mut cache, &mut Recording::disabled());
-        return finalize_dataflow(st, cache, prep, cfg, opts);
+    if prep.n == 0 {
+        return SimReport::default();
     }
-    run_core(prep, cfg, opts, probe)
-}
-
-/// Whether `prep` on `cfg` is served by the pure event loop
-/// ([`dataflow_loop`]) when unprobed: no scratchpad or stream nodes, at
-/// least one cache port, and the analytic-server preconditions hold.
-/// (The empty trace stays on the per-cycle core's trivial early
-/// return.)
-pub(crate) fn dataflow_ok(prep: &PreparedSim, cfg: &SystemConfig) -> bool {
-    prep.n > 0 && !prep.spad_or_stream() && cfg.cache.ports >= 1 && analytic_ok(cfg)
-}
-
-/// Whether the analytic issue servers model `cfg` exactly: every
-/// compute latency ≥ 1 keeps completions strictly after their drain
-/// cycle (so serving at drain time cannot reorder same-cycle queue
-/// arrivals), and nonzero widths keep the server recurrence
-/// well-defined (a zero-width config livelocks identically on every
-/// core, so it stays on the per-cycle loop). The canonical
-/// configurations all qualify.
-fn analytic_ok(cfg: &SystemConfig) -> bool {
-    cfg.pe.fp_issue >= 1
-        && cfg.pe.int_issue >= 1
-        && cfg.pe.fp_alu_latency >= 1
-        && cfg.pe.fp_mul_latency >= 1
-        && cfg.pe.fp_long_latency >= 1
-        && cfg.pe.int_latency >= 1
-        && cfg.cache.hit_latency >= 1
-}
-
-/// Analytic in-order issue server for a width-limited resource.
-///
-/// The event heap pops ready nodes in `(cycle, id)` order — exactly the
-/// order they would have entered the corresponding in-order issue queue
-/// (the per-cycle loop drains the heap into the queues in that same
-/// order, and arrival cycles are non-decreasing over a run). A width-`w`
-/// FIFO queue serving up to `w` ops per cycle then has a two-word
-/// closed form: `cur` is the cycle the previous op issued and `used` how
-/// many ops have issued at `cur`. An op arriving at `at > cur` finds
-/// the queue drained and issues immediately; an op arriving at or
-/// behind the backlog issues at `cur` if a slot is left there, else
-/// opens cycle `cur + 1`. This reproduces the per-cycle loop's
-/// schedule exactly, width contention included.
-#[derive(Clone, Copy)]
-struct IssueSrv {
-    cur: u64,
-    used: usize,
-}
-
-impl IssueSrv {
-    fn new() -> Self {
-        IssueSrv { cur: 0, used: 0 }
-    }
-
-    #[inline]
-    fn issue_at(&mut self, at: u64, width: usize) -> u64 {
-        if self.cur < at {
-            self.cur = at;
-            self.used = 1;
-        } else if self.used < width {
-            self.used += 1;
-        } else {
-            self.cur += 1;
-            self.used = 1;
-        }
-        self.cur
-    }
+    let mut st = CoreState::new(prep, cfg);
+    let mut cache = Cache::new(cfg.cache);
+    probe.on_start(&ProbeGeometry::of(cfg, prep.phase_barrier_idx.is_some()));
+    core_loop::<P, false>(
+        prep,
+        cfg,
+        &mut st,
+        &mut cache,
+        &mut Recording::disabled(),
+        probe,
+    );
+    probe.on_finish(st.max_finish);
+    finalize_core(st, cache, prep, cfg, opts)
 }
 
 /// The per-cycle scheduler core's complete mutable state — everything
@@ -332,43 +219,13 @@ impl CoreState {
     }
 }
 
-/// The per-cycle scheduler core: the fully announced loop (every issue
-/// reported to `probe`, any probe type), with stream gap-skipping. Runs
-/// whatever the pure event loop cannot: probed simulations and traces
-/// that touch the scratchpad or stream engines.
-fn run_core<P: SimProbe>(
-    prep: &PreparedSim,
-    cfg: &SystemConfig,
-    opts: &SimOptions,
-    probe: &mut P,
-) -> SimReport {
-    if prep.n == 0 {
-        return SimReport::default();
-    }
-    let mut st = CoreState::new(prep, cfg);
-    let mut cache = Cache::new(cfg.cache);
-    probe.on_start(&ProbeGeometry::of(cfg, prep.phase_barrier_idx.is_some()));
-    core_loop::<P, false>(
-        prep,
-        cfg,
-        &mut st,
-        &mut cache,
-        &mut Recording::disabled(),
-        probe,
-    );
-    probe.on_finish(st.max_finish);
-    finalize_core(st, cache, prep, cfg, opts)
-}
-
 /// The per-cycle loop itself, resumable from any [`CoreState`] captured
 /// at a cycle boundary. With `REC = true` every cache access's address
 /// and outcome is appended to `rec` and full-state checkpoints are
-/// taken at cycle boundaries — the per-cycle counterpart of
-/// [`dataflow_loop`]'s recording mode, which is what lets scratchpad
-/// and stream traces join [`crate::sweep`]'s incremental
-/// re-simulation. `REC = true` is only ever driven with [`NoProbe`]
-/// (the sweep path is unprobed by construction); the recording hooks
-/// compile out under `REC = false`.
+/// taken at cycle boundaries — the raw material for [`crate::sweep`]'s
+/// incremental re-simulation. `REC = true` is only ever driven with
+/// [`NoProbe`] (the sweep path is unprobed by construction); the
+/// recording hooks compile out under `REC = false`.
 pub(crate) fn core_loop<P: SimProbe, const REC: bool>(
     prep: &PreparedSim,
     cfg: &SystemConfig,
@@ -445,7 +302,7 @@ pub(crate) fn core_loop<P: SimProbe, const REC: bool>(
 
     while st.completed < n {
         if REC && st.accesses >= rec.next_ckpt {
-            rec.take_core_ckpt(st);
+            rec.take_ckpt(st);
         }
         probe.on_cycle_start(st.now);
         // Drain events that became ready, one id-sorted batch per
@@ -735,8 +592,9 @@ pub(crate) fn core_loop<P: SimProbe, const REC: bool>(
     }
 }
 
-/// Turns a finished [`CoreState`] into the report — the per-cycle
-/// counterpart of [`finalize_dataflow`], sharing the same epilogue.
+/// Turns a finished [`CoreState`] into the report: total/forward
+/// cycles, the end-of-run dirty flush, energy, and (on request)
+/// per-node finish times.
 pub(crate) fn finalize_core(
     st: CoreState,
     cache: Cache,
@@ -749,7 +607,22 @@ pub(crate) fn finalize_core(
     report.fwd_cycles = prep
         .phase_barrier_idx
         .map_or(st.max_finish, |i| st.finish[i]);
-    finalize_report(report, st.finish, cache, cfg, opts)
+    // Cool-down: lines still dirty when the run ends must reach DRAM
+    // eventually. Charge those write-backs to traffic exactly once —
+    // this happens before energy accounting so the DRAM energy sees
+    // them too — otherwise small working sets hide store traffic by
+    // never evicting.
+    let line_bytes = cache.config().line_bytes as u64;
+    let flushed = cache.dirty_lines();
+    report.cache.writebacks += flushed;
+    report.cache.flush_writebacks = flushed;
+    report.dram_writeback_bytes += flushed * line_bytes;
+
+    recompute_energy(&mut report, cfg);
+    if opts.record_node_times {
+        report.node_finish = Some(st.finish);
+    }
+    report
 }
 
 /// Calendar slots in the event wheel: a power of two comfortably above
@@ -775,9 +648,8 @@ const NIL: u32 = u32::MAX;
 /// is a pooled linked list (`head` + `pool` with a free list) rather
 /// than one `Vec` per slot — a per-slot `Vec` costs thousands of
 /// mallocs, reallocs and drops per run, which dominated the host
-/// profile right after the binary heap it replaced. Shared by the pure
-/// event loop and the per-cycle core; `Clone` makes it checkpointable
-/// wholesale inside [`CoreState`].
+/// profile right after the binary heap it replaced. `Clone` makes it
+/// checkpointable wholesale inside [`CoreState`].
 #[derive(Clone)]
 struct EventQ {
     /// Slot -> first pool node (`NIL` when empty).
@@ -898,32 +770,6 @@ impl EventQ {
         }
     }
 
-    /// Earliest queued time; advances the window there and refills it
-    /// from the overflow heap. `None` when the queue is empty.
-    fn next_time(&mut self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let c = self.cached;
-        if c != u64::MAX {
-            // Memoized earliest: jump the window straight there.
-            self.cur = c;
-        } else if let Some(slot) = self.scan() {
-            let base = self.cur as usize & self.mask;
-            let delta = (slot + self.mask + 1 - base) & self.mask;
-            self.cur += delta as u64;
-        } else {
-            // Ring empty: jump the window to the overflow minimum.
-            let &std::cmp::Reverse((t, _)) = self.over.peek().expect("len > 0 with an empty ring");
-            self.cur = t;
-        }
-        self.refill();
-        // Refilling moves events without changing their times, so the
-        // earliest stays exactly `cur`.
-        self.cached = self.cur;
-        Some(self.cur)
-    }
-
     /// Earliest queued time without disturbing the window — the
     /// per-cycle core's replacement for `BinaryHeap::peek` in its
     /// drain and gap-skip decisions. Ring events always precede
@@ -957,12 +803,6 @@ impl EventQ {
             self.cur = t;
             self.refill();
         }
-        self.take_into(t, batch);
-    }
-
-    /// Moves every event queued at `t` (the value [`EventQ::next_time`]
-    /// returned) into `batch`.
-    fn take_into(&mut self, t: u64, batch: &mut Vec<u32>) {
         let s = t as usize & self.mask;
         let mut node = self.head[s];
         while node != NIL {
@@ -981,145 +821,6 @@ impl EventQ {
         // The drained slot was the earliest; the next one is unknown.
         self.cached = u64::MAX;
     }
-
-    /// Every queued `(time, id)` pair, unordered (for checkpoints).
-    fn snapshot(&self) -> Vec<(u64, u32)> {
-        let mut out = Vec::with_capacity(self.len);
-        let base = self.cur as usize & self.mask;
-        let anchor = self.cur - base as u64;
-        for s in 0..=self.mask {
-            let mut node = self.head[s];
-            if node == NIL {
-                continue;
-            }
-            let t = anchor + s as u64 + if s < base { self.mask as u64 + 1 } else { 0 };
-            while node != NIL {
-                let (next, id) = self.pool[node as usize];
-                out.push((t, id));
-                node = next;
-            }
-        }
-        for &std::cmp::Reverse(e) in &self.over {
-            out.push(e);
-        }
-        out
-    }
-
-    /// Rebuilds a queue whose window starts at `cur` from a snapshot.
-    fn restore(cur: u64, events: &[(u64, u32)], slots: usize) -> Self {
-        let mut eq = EventQ::new(slots);
-        eq.cur = cur;
-        for &(t, id) in events {
-            eq.push(t, id);
-        }
-        eq
-    }
-}
-
-/// The pure event loop's complete scheduler state. Everything the loop
-/// mutates lives here except the cache (which an incremental
-/// re-simulation rebuilds by replay rather than by snapshot — see
-/// [`crate::sweep`]), so a checkpoint is a plain extract and a resume
-/// continues mid-run with byte-identical results.
-pub(crate) struct DfState {
-    pend: Vec<NodeState>,
-    finish: Vec<u64>,
-    eq: EventQ,
-    fp_srv: IssueSrv,
-    int_srv: IssueSrv,
-    mem_srv: IssueSrv,
-    mshr: Vec<u64>,
-    dram: Dram,
-    report: SimReport,
-    completed: usize,
-    max_finish: u64,
-    /// Cache accesses served so far — the recording/checkpoint clock.
-    accesses: u64,
-}
-
-impl DfState {
-    pub(crate) fn new(prep: &PreparedSim, cfg: &SystemConfig) -> Self {
-        let mut eq = EventQ::new(wheel_slots(prep.n));
-        for &r in &prep.roots {
-            eq.push(0, r);
-        }
-        DfState {
-            pend: prep.pend0(),
-            finish: vec![0u64; prep.n],
-            eq,
-            fp_srv: IssueSrv::new(),
-            int_srv: IssueSrv::new(),
-            mem_srv: IssueSrv::new(),
-            mshr: vec![0; cfg.cache.mshrs.max(1)],
-            dram: Dram::new(cfg),
-            report: SimReport::default(),
-            completed: 0,
-            max_finish: 0,
-            accesses: 0,
-        }
-    }
-
-    fn snap(&self) -> DfSnap {
-        DfSnap {
-            pend: self.pend.clone(),
-            finish: self.finish.clone(),
-            events: self.eq.snapshot(),
-            eq_cur: self.eq.cur,
-            eq_slots: self.eq.mask + 1,
-            fp_srv: self.fp_srv,
-            int_srv: self.int_srv,
-            mem_srv: self.mem_srv,
-            mshr: self.mshr.clone(),
-            dram_busy: self.dram.busy,
-            report: self.report.clone(),
-            completed: self.completed,
-            max_finish: self.max_finish,
-            accesses: self.accesses,
-        }
-    }
-
-    /// Rebuilds the state a checkpoint captured. The caller supplies the
-    /// cache separately (replayed up to the same access count).
-    pub(crate) fn restore(s: &DfSnap, cfg: &SystemConfig) -> Self {
-        let mut dram = Dram::new(cfg);
-        dram.busy = s.dram_busy;
-        DfState {
-            pend: s.pend.clone(),
-            finish: s.finish.clone(),
-            eq: EventQ::restore(s.eq_cur, &s.events, s.eq_slots),
-            fp_srv: s.fp_srv,
-            int_srv: s.int_srv,
-            mem_srv: s.mem_srv,
-            mshr: s.mshr.clone(),
-            dram,
-            report: s.report.clone(),
-            completed: s.completed,
-            max_finish: s.max_finish,
-            accesses: s.accesses,
-        }
-    }
-}
-
-/// A scheduler-state checkpoint, taken at batch boundaries during a
-/// recorded run. Deliberately cache-free: the scheduler's evolution
-/// depends on the cache only through per-access outcomes, which the
-/// recording captures, so one set of checkpoints serves every geometry
-/// whose outcome stream shares the prefix.
-pub(crate) struct DfSnap {
-    pend: Vec<NodeState>,
-    finish: Vec<u64>,
-    events: Vec<(u64, u32)>,
-    eq_cur: u64,
-    eq_slots: usize,
-    fp_srv: IssueSrv,
-    int_srv: IssueSrv,
-    mem_srv: IssueSrv,
-    mshr: Vec<u64>,
-    dram_busy: f64,
-    report: SimReport,
-    completed: usize,
-    max_finish: u64,
-    pub(crate) accesses: u64,
 }
 
 /// Recorded access meta bit: the access was a store.
@@ -1138,7 +839,7 @@ pub(crate) const REC_SHIFT: u32 = 61;
 /// Mask recovering the address from a packed recording word.
 pub(crate) const REC_ADDR_MASK: u64 = (1 << REC_SHIFT) - 1;
 
-/// The record of a dataflow run: the cache access stream in schedule
+/// The record of a simulation run: the cache access stream in schedule
 /// order with each access's outcome, plus periodic scheduler
 /// checkpoints. A later run that only changes the cache geometry
 /// replays `addrs` through the new cache and compares outcomes; while
@@ -1148,42 +849,20 @@ pub(crate) struct Recording {
     /// Packed access words: address in the low [`REC_SHIFT`] bits,
     /// `REC_*` outcome bits above ([`REC_SHIFT`]).
     pub(crate) addrs: Vec<u64>,
-    pub(crate) ckpts: Vec<Ckpt>,
+    /// Scheduler checkpoints in access order, each with `accesses`
+    /// cache accesses already served. Deliberately cache-free: the
+    /// scheduler's evolution depends on the cache only through
+    /// per-access outcomes, which the recording captures, so one set of
+    /// checkpoints serves every geometry whose outcome stream shares the
+    /// prefix (the resume path rebuilds the cache by replaying the
+    /// validated prefix).
+    pub(crate) ckpts: Vec<CoreState>,
     next_ckpt: u64,
     max_ckpts: usize,
     /// Last access position worth checkpointing: on a monotone ladder
     /// every future divergence lands at or before the one that caused
     /// this recording, so snapshots past it can never be resumed from.
     ckpt_limit: u64,
-}
-
-/// A checkpointed scheduler state, from whichever core recorded the
-/// run. Both variants are deliberately cache-free: the scheduler's
-/// evolution depends on the cache only through per-access outcomes,
-/// which the recording captures, so one set of checkpoints serves
-/// every geometry whose outcome stream shares the prefix (the resume
-/// path rebuilds the cache by replaying the validated prefix).
-pub(crate) enum Snap {
-    /// Pure event loop state ([`dataflow_loop`]).
-    Df(Box<DfSnap>),
-    /// Per-cycle core state ([`core_loop`]).
-    Core(Box<CoreState>),
-}
-
-impl Snap {
-    /// Cache accesses already served when the checkpoint was taken.
-    pub(crate) fn accesses(&self) -> u64 {
-        match self {
-            Snap::Df(s) => s.accesses,
-            Snap::Core(s) => s.accesses,
-        }
-    }
-}
-
-/// One checkpoint: the scheduler state with `snap.accesses()` cache
-/// accesses already served.
-pub(crate) struct Ckpt {
-    pub(crate) snap: Snap,
 }
 
 impl Recording {
@@ -1227,29 +906,16 @@ impl Recording {
         }
     }
 
-    fn take_df_ckpt(&mut self, st: &DfState) {
+    fn take_ckpt(&mut self, st: &CoreState) {
         if self.ckpts.len() >= self.max_ckpts {
             self.next_ckpt = u64::MAX;
             return;
         }
-        self.ckpts.push(Ckpt {
-            snap: Snap::Df(Box::new(st.snap())),
-        });
+        self.ckpts.push(st.clone());
         self.advance_schedule(st.accesses);
     }
 
-    pub(crate) fn take_core_ckpt(&mut self, st: &CoreState) {
-        if self.ckpts.len() >= self.max_ckpts {
-            self.next_ckpt = u64::MAX;
-            return;
-        }
-        self.ckpts.push(Ckpt {
-            snap: Snap::Core(Box::new(st.clone())),
-        });
-        self.advance_schedule(st.accesses);
-    }
-
-    /// Doubling schedule; catch up past the current clock when a batch
+    /// Doubling schedule; catch up past the current clock when a cycle
     /// overshot several scheduled points at once, and stop once the
     /// schedule leaves the useful window.
     fn advance_schedule(&mut self, accesses: u64) {
@@ -1271,249 +937,11 @@ impl Recording {
     /// before this one, where the surviving prefix checkpoints
     /// already serve.
     pub(crate) fn truncate_to(&mut self, keep: usize) {
-        let cut = self.ckpts[keep].snap.accesses();
+        let cut = self.ckpts[keep].accesses;
         self.ckpts.truncate(keep + 1);
         self.addrs.truncate(cut as usize);
         self.next_ckpt = u64::MAX;
     }
-}
-
-/// The pure event loop: no per-cycle iteration at all. Dispatched for
-/// no-op probes when [`dataflow_ok`] holds — the trace never touches
-/// the scratchpad or stream engines, so the only resources are the
-/// FP/INT slots and the cache, all of which have exact closed-form
-/// service disciplines once ops are fed in queue-arrival order. The
-/// event queue's pop order *is* that order, so cache accesses, DRAM
-/// transfers and MSHR assignments happen in exactly the per-cycle
-/// loop's sequence with exactly its timestamps; reports are
-/// byte-identical. Probe hooks are omitted — the probe is statically a
-/// no-op and cannot observe the difference.
-///
-/// Each occupied cycle drains as one id-sorted batch from the wheel.
-/// Zero-cost completions (`Sync`) may ready successors in the *same*
-/// cycle; those go to a small side heap merged against the remaining
-/// batch, reproducing the event heap's `(time, id)` pop order exactly.
-/// All other service latencies are ≥ 1 ([`analytic_ok`]), so their
-/// completions are strictly future events.
-///
-/// With `REC = true` every cache access's address and outcome is
-/// appended to `rec` and scheduler checkpoints are taken at batch
-/// boundaries — the raw material for [`crate::sweep`]'s incremental
-/// re-simulation. The recording hooks compile out under `REC = false`.
-pub(crate) fn dataflow_loop<const REC: bool>(
-    prep: &PreparedSim,
-    cfg: &SystemConfig,
-    st: &mut DfState,
-    cache: &mut Cache,
-    rec: &mut Recording,
-) {
-    let n = prep.n;
-    let class = &prep.class[..n];
-    let flags = &prep.flags[..n];
-    let addr = &prep.addr[..n];
-    let succ_off = &prep.succ_off[..n + 1];
-    let succ_dat = &prep.succ_dat[..];
-    let line_bytes = cache.config().line_bytes as u64;
-
-    let mut batch: Vec<u32> = Vec::with_capacity(256);
-    let mut side: BinaryHeap<std::cmp::Reverse<u32>> = BinaryHeap::new();
-
-    while st.completed < n {
-        if REC && st.accesses >= rec.next_ckpt {
-            rec.take_df_ckpt(st);
-        }
-        // An empty queue before completion means unsatisfiable
-        // dependences (not a DAG); stop with a short report instead of
-        // spinning — no trace built through the public constructors can
-        // get here.
-        let Some(t) = st.eq.next_time() else { break };
-        st.eq.take_into(t, &mut batch);
-        batch.sort_unstable();
-
-        macro_rules! complete {
-            ($id:expr, $fin:expr) => {{
-                let id = $id as usize;
-                let fin: u64 = $fin;
-                st.finish[id] = fin;
-                if fin > st.max_finish {
-                    st.max_finish = fin;
-                }
-                st.completed += 1;
-                for s in &succ_dat[succ_off[id] as usize..succ_off[id + 1] as usize] {
-                    let si = *s as usize;
-                    let p = &mut st.pend[si];
-                    if p.ready < fin {
-                        p.ready = fin;
-                    }
-                    p.indeg -= 1;
-                    if p.indeg == 0 {
-                        if p.ready == t {
-                            side.push(std::cmp::Reverse(*s));
-                        } else {
-                            st.eq.push(p.ready, *s);
-                        }
-                    }
-                }
-            }};
-        }
-
-        let mut bi = 0;
-        loop {
-            let id = match (batch.get(bi).copied(), side.peek().copied()) {
-                (Some(b), Some(std::cmp::Reverse(s))) => {
-                    if s < b {
-                        side.pop();
-                        s
-                    } else {
-                        bi += 1;
-                        b
-                    }
-                }
-                (Some(b), None) => {
-                    bi += 1;
-                    b
-                }
-                (None, Some(_)) => {
-                    let std::cmp::Reverse(s) = side.pop().expect("peeked");
-                    s
-                }
-                (None, None) => break,
-            };
-            let idu = id as usize;
-            match class[idu] {
-                // Barriers and SAlloc cost nothing by themselves; their
-                // same-cycle successors merge into the batch in id
-                // order, exactly as the event heap would interleave
-                // them.
-                OpClass::Sync => complete!(id, t),
-                OpClass::FpAlu | OpClass::FpMul | OpClass::FpLong => {
-                    let lat = match class[idu] {
-                        OpClass::FpAlu => cfg.pe.fp_alu_latency,
-                        OpClass::FpMul => cfg.pe.fp_mul_latency,
-                        _ => cfg.pe.fp_long_latency,
-                    };
-                    st.report.fp_ops += 1;
-                    complete!(id, st.fp_srv.issue_at(t, cfg.pe.fp_issue) + lat);
-                }
-                OpClass::Int => {
-                    st.report.int_ops += 1;
-                    complete!(
-                        id,
-                        st.int_srv.issue_at(t, cfg.pe.int_issue) + cfg.pe.int_latency
-                    );
-                }
-                OpClass::MemLoad | OpClass::MemStore => {
-                    let is_write = class[idu] == OpClass::MemStore;
-                    let f = flags[idu];
-                    let (is_tape, is_rev) = (f & FLAG_TAPE != 0, f & FLAG_REV != 0);
-                    // The memory queue follows the same closed form
-                    // through the cache ports, with one extra rule at
-                    // the stall site: a miss with no free MSHR ends its
-                    // service cycle (head-of-line).
-                    let s = st.mem_srv.issue_at(t, cfg.cache.ports);
-                    let res = cache.access(addr[idu], is_write);
-                    // Only misses consult the MSHRs; the min-slot scan
-                    // is skipped on the majority hit path.
-                    let mut mshr_slot = 0;
-                    if !res.hit {
-                        for i in 1..st.mshr.len() {
-                            if st.mshr[i] < st.mshr[mshr_slot] {
-                                mshr_slot = i;
-                            }
-                        }
-                    }
-                    if REC {
-                        let m = (REC_WRITE * u8::from(is_write))
-                            | (REC_HIT * u8::from(res.hit))
-                            | (REC_WB * u8::from(res.writeback.is_some()));
-                        debug_assert_eq!(addr[idu] & !REC_ADDR_MASK, 0);
-                        rec.addrs.push(addr[idu] | (u64::from(m) << REC_SHIFT));
-                    }
-                    st.accesses += 1;
-                    if res.hit {
-                        st.report.cache.hits += 1;
-                        st.report.cache.tape_hits += u64::from(is_tape);
-                        st.report.cache.rev_hits += u64::from(is_rev);
-                        complete!(id, s + cfg.cache.hit_latency);
-                    } else {
-                        st.report.cache.misses += 1;
-                        st.report.cache.tape_misses += u64::from(is_tape);
-                        st.report.cache.rev_misses += u64::from(is_rev);
-                        st.report.dram_fill_bytes += line_bytes;
-                        if res.writeback.is_some() {
-                            st.report.cache.writebacks += 1;
-                            st.report.dram_writeback_bytes += line_bytes;
-                            let _ = st.dram.transfer(s, line_bytes);
-                        }
-                        if st.mshr[mshr_slot] > s {
-                            // Head-of-line MSHR stall: the fill starts
-                            // when a slot frees, and nothing else issues
-                            // behind the stalled miss this cycle —
-                            // saturate it.
-                            let (_, fin) = st.dram.transfer(st.mshr[mshr_slot], line_bytes);
-                            st.mshr[mshr_slot] = fin;
-                            st.mem_srv.used = cfg.cache.ports;
-                            complete!(id, fin + cfg.cache.hit_latency);
-                        } else {
-                            let (_, fin) = st.dram.transfer(s, line_bytes);
-                            st.mshr[mshr_slot] = fin;
-                            complete!(id, fin + cfg.cache.hit_latency);
-                        }
-                    }
-                }
-                OpClass::SpadLoad | OpClass::SpadStore | OpClass::Stream => {
-                    unreachable!("dispatcher guarantees no scratchpad/stream nodes")
-                }
-            }
-        }
-        batch.clear();
-    }
-}
-
-/// Turns a finished [`DfState`] into the report: total/forward cycles,
-/// the end-of-run dirty flush, energy, and (on request) per-node finish
-/// times. Identical to the per-cycle core's epilogue.
-pub(crate) fn finalize_dataflow(
-    st: DfState,
-    cache: Cache,
-    prep: &PreparedSim,
-    cfg: &SystemConfig,
-    opts: &SimOptions,
-) -> SimReport {
-    let mut report = st.report;
-    report.cycles = st.max_finish;
-    report.fwd_cycles = prep
-        .phase_barrier_idx
-        .map_or(st.max_finish, |i| st.finish[i]);
-    finalize_report(report, st.finish, cache, cfg, opts)
-}
-
-/// The shared finalize epilogue: end-of-run dirty flush, energy, and
-/// (on request) per-node finish times. `report.cycles`/`fwd_cycles`
-/// must already be set by the caller.
-fn finalize_report(
-    mut report: SimReport,
-    finish: Vec<u64>,
-    cache: Cache,
-    cfg: &SystemConfig,
-    opts: &SimOptions,
-) -> SimReport {
-    // Cool-down: lines still dirty when the run ends must reach DRAM
-    // eventually. Charge those write-backs to traffic exactly once —
-    // this happens before energy accounting so the DRAM energy sees
-    // them too — otherwise small working sets hide store traffic by
-    // never evicting.
-    let line_bytes = cache.config().line_bytes as u64;
-    let flushed = cache.dirty_lines();
-    report.cache.writebacks += flushed;
-    report.cache.flush_writebacks = flushed;
-    report.dram_writeback_bytes += flushed * line_bytes;
-
-    recompute_energy(&mut report, cfg);
-    if opts.record_node_times {
-        report.node_finish = Some(finish);
-    }
-    report
 }
 
 /// (Re)derives the energy block from the report's counters — a pure
@@ -1756,17 +1184,6 @@ mod tests {
     }
 
     #[test]
-    fn engine_names_parse_and_round_trip() {
-        assert_eq!(Engine::parse("event"), Some(Engine::Event));
-        assert_eq!(Engine::parse("legacy"), Some(Engine::Legacy));
-        assert_eq!(Engine::parse("warp"), None);
-        assert_eq!(Engine::default(), Engine::Event);
-        for e in [Engine::Event, Engine::Legacy] {
-            assert_eq!(Engine::parse(e.name()), Some(e));
-        }
-    }
-
-    #[test]
     fn prepared_arena_reuses_across_configs() {
         // One arena, many configs: results match fresh simulations.
         let trace = trace_of(|b| {
@@ -1816,12 +1233,11 @@ mod tests {
     }
 
     #[test]
-    fn analytic_paths_match_the_probed_core_exactly() {
-        // The unprobed fast paths (issue servers, pure event loop) must
-        // reproduce the fully announced per-cycle core byte for byte.
-        // Build traces that exercise width contention, MSHR stalls, and
-        // mixed classes, then compare against a probed run (probed runs
-        // always take the exact per-cycle core).
+    fn unprobed_runs_match_probed_runs_exactly() {
+        // A probe only observes: an unprobed run must reproduce the
+        // fully announced run of the same core byte for byte. Build
+        // traces that exercise width contention, MSHR stalls, and mixed
+        // classes, then compare against a probed run.
         use crate::probe::AttributionProbe;
         type Build = Box<dyn Fn(&mut FunctionBuilder)>;
         let builds: Vec<Build> = vec![
@@ -1855,13 +1271,13 @@ mod tests {
             let trace = trace_of(&*build);
             for bytes in [1024, 32768] {
                 let cfg = SystemConfig::with_cache_bytes(bytes);
-                let fast = simulate(&trace, &cfg, &SimOptions::default());
+                let bare = simulate(&trace, &cfg, &SimOptions::default());
                 let mut probe = AttributionProbe::default();
-                let exact = simulate_probed(&trace, &cfg, &SimOptions::default(), &mut probe);
+                let probed = simulate_probed(&trace, &cfg, &SimOptions::default(), &mut probe);
                 assert_eq!(
-                    fast.to_json().render(),
-                    exact.to_json().render(),
-                    "fast path diverged at cache={bytes}"
+                    bare.to_json().render(),
+                    probed.to_json().render(),
+                    "unprobed run diverged at cache={bytes}"
                 );
             }
         }

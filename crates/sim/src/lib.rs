@@ -66,7 +66,7 @@ pub use config::{
 };
 pub use engine::{
     simulate, simulate_prepared, simulate_prepared_probed, simulate_probed, try_simulate,
-    try_simulate_probed, try_simulate_probed_with, Engine, SimOptions,
+    try_simulate_probed, SimOptions,
 };
 pub use error::SimError;
 pub use prep::PreparedSim;

@@ -64,10 +64,10 @@ pub struct PreparedSim {
     /// Index of the FWD/REV phase barrier, if the trace has one.
     pub(crate) phase_barrier_idx: Option<usize>,
     /// Whether any node touches the scratchpad. Together with
-    /// [`PreparedSim::has_stream`] this decides which engine backend
-    /// applies and which `SystemConfig` parameter classes are relevant
-    /// to the trace at all (a sweep session chains across changes to a
-    /// subsystem the trace never exercises).
+    /// [`PreparedSim::has_stream`] this decides which `SystemConfig`
+    /// parameter classes are relevant to the trace at all (a sweep
+    /// session chains across changes to a subsystem the trace never
+    /// exercises).
     pub(crate) has_spad: bool,
     /// Whether any node is a stream-engine command.
     pub(crate) has_stream: bool,
@@ -172,13 +172,6 @@ impl PreparedSim {
                 indeg: w[1] - w[0],
             })
             .collect()
-    }
-
-    /// Whether any node touches the scratchpad or a stream engine. When
-    /// none do, the engine's pure event loop applies (no per-cycle
-    /// iteration; see `engine::run_dataflow`).
-    pub(crate) fn spad_or_stream(&self) -> bool {
-        self.has_spad || self.has_stream
     }
 
     /// Number of nodes in the prepared trace.

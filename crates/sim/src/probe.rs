@@ -94,13 +94,6 @@ pub struct CacheAccessEvent {
 /// Every method has an empty inline default so an unused hook compiles
 /// away entirely; [`NoProbe`] overrides nothing.
 pub trait SimProbe {
-    /// Promise that every hook on this probe is a no-op. The engine uses
-    /// this to take *schedule-preserving* shortcuts that do not announce
-    /// individual issues/stalls (reports stay byte-identical; only the
-    /// hook call sequence differs, which a no-op probe cannot observe).
-    /// Only set this to `true` when all hooks keep their empty defaults.
-    const IS_NOOP: bool = false;
-
     /// Called once before the first cycle.
     #[inline]
     fn on_start(&mut self, _geom: &ProbeGeometry) {}
@@ -169,9 +162,7 @@ pub trait SimProbe {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoProbe;
 
-impl SimProbe for NoProbe {
-    const IS_NOOP: bool = true;
-}
+impl SimProbe for NoProbe {}
 
 macro_rules! forward_both {
     ($(fn $name:ident(&mut self $(, $arg:ident : $ty:ty)*);)*) => {
@@ -188,7 +179,6 @@ macro_rules! forward_both {
 /// Probes compose pairwise: `(&mut attribution, &mut recorder)` feeds one
 /// simulation into both.
 impl<A: SimProbe, B: SimProbe> SimProbe for (A, B) {
-    const IS_NOOP: bool = A::IS_NOOP && B::IS_NOOP;
     forward_both! {
         fn on_start(&mut self, geom: &ProbeGeometry);
         fn on_cycle_start(&mut self, now: u64);
@@ -222,7 +212,6 @@ macro_rules! forward_some {
 /// `None` observes nothing; `Some(probe)` forwards — lets callers attach
 /// a probe behind a runtime flag without duplicating the call site.
 impl<P: SimProbe> SimProbe for Option<P> {
-    const IS_NOOP: bool = P::IS_NOOP;
     forward_some! {
         fn on_start(&mut self, geom: &ProbeGeometry);
         fn on_cycle_start(&mut self, now: u64);

@@ -6,13 +6,10 @@
 //! dirty eviction) differs — provided every parameter the replay itself
 //! cannot validate is unchanged. [`SweepSession`] exploits that:
 //!
-//! 1. The first configuration runs fully, recording the cache access
-//!    stream with outcomes and taking periodic scheduler checkpoints
-//!    ([`crate::engine::Recording`]). Traces served by the pure event
-//!    loop record through it; scratchpad/stream traces record through
-//!    the per-cycle core ([`crate::engine::core_loop`]), whose complete
-//!    state is equally snapshottable — so *every* nonempty trace gets a
-//!    session, not just the cache-only ones.
+//! 1. The first configuration runs fully on the engine's one scheduler
+//!    loop, recording the cache access stream with outcomes and taking
+//!    periodic checkpoints of the loop's complete state — so *every*
+//!    nonempty trace gets a session, cache-only or not.
 //! 2. Each later configuration **replays** the recorded address stream
 //!    through its own cold cache — pure `Cache::access` calls, no
 //!    scheduler at all — comparing outcomes against the record.
@@ -44,7 +41,7 @@
 //! * **Scratchpad bank count** — validated *structurally*: the bank of
 //!   a scratchpad access is `addr % banks`, a pure per-address
 //!   function, so two counts chain iff they assign every scratchpad
-//!   address in the trace the same bank ([`spad_map_equal`]); traces
+//!   address in the trace the same bank (`spad_map_equal`); traces
 //!   without scratchpad nodes chain across any bank count.
 //! * **Energy table** — free: energy is recomputed from final counters.
 //! * Everything else — cache timing (line/ports/latency/MSHRs),
@@ -56,9 +53,8 @@
 use crate::cache::Cache;
 use crate::config::SystemConfig;
 use crate::engine::{
-    core_loop, dataflow_loop, dataflow_ok, finalize_core, finalize_dataflow, recompute_energy,
-    simulate_prepared, CoreState, DfState, Recording, SimOptions, Snap, REC_ADDR_MASK, REC_HIT,
-    REC_SHIFT, REC_WB, REC_WRITE,
+    core_loop, finalize_core, recompute_energy, simulate_prepared, CoreState, Recording,
+    SimOptions, REC_ADDR_MASK, REC_HIT, REC_SHIFT, REC_WB, REC_WRITE,
 };
 use crate::prep::PreparedSim;
 use crate::probe::NoProbe;
@@ -71,8 +67,7 @@ use tapeflow_ir::OpClass;
 /// degrades to "replay or re-run from scratch", still exact).
 const CKPT_BUDGET: usize = 256 << 20;
 /// Conservative per-node snapshot cost estimate in bytes (fused
-/// pend/finish state plus queue and event entries; the per-cycle
-/// core's snapshots are the larger variant).
+/// pend/finish state plus queue and event entries).
 const CKPT_NODE_BYTES: usize = 40;
 /// Earliest checkpoint position in accesses — below this the snapshot
 /// costs more than the prefix it saves.
@@ -85,10 +80,11 @@ const CKPT_HARD_CAP: usize = 16;
 /// simulation of the same trace, in percent. Both scale linearly with
 /// node count (the snapshot memcpys the per-node scheduler state, the
 /// simulation visits every node), so the ratio is roughly
-/// scale-invariant; ~30% holds for both the event-loop and per-cycle
-/// core variants. A checkpoint at access *a* can save at most the
-/// `a / n_mem` prefix of one future resume, so re-records only take
-/// as many snapshots as their expected resume savings can repay.
+/// scale-invariant. The ~30% figure predates the single scheduler loop
+/// and has not been re-measured on it. A checkpoint at access *a* can
+/// save at most the `a / n_mem` prefix of one future resume, so
+/// re-records only take as many snapshots as their expected resume
+/// savings can repay.
 const CKPT_COST_PCT: usize = 30;
 /// How much earlier the *next* divergence lands relative to the one
 /// that triggered a re-record, as a divisor on the expected resume
@@ -206,7 +202,7 @@ impl SweepSession {
     ///   snapshots); full-match replays still reuse the base wholesale.
     /// * otherwise: re-records after a divergence take only as many
     ///   checkpoints as `remaining` future resumes could plausibly
-    ///   repay under the [`CKPT_COST_PCT`] cost model.
+    ///   repay under the `CKPT_COST_PCT` cost model.
     ///
     /// [`run_group`] drives sessions through this entry point with the
     /// exact plan tail length; callers without a plan can use
@@ -226,10 +222,7 @@ impl SweepSession {
 
     /// Whether `b` can chain off a recording made under `a`: every
     /// parameter class the replay cannot validate must be unchanged —
-    /// unless the trace never exercises that subsystem at all. The
-    /// gated classes (cache timing, datapath) also pin the backend
-    /// choice ([`dataflow_ok`]), so a chained pair always resumes on
-    /// the checkpoint variant it recorded.
+    /// unless the trace never exercises that subsystem at all.
     fn chains_with(&self, a: &SystemConfig, b: &SystemConfig) -> bool {
         let (pa, pb) = (a.class_prints(), b.class_prints());
         if pa.cache_timing != pb.cache_timing || pa.pe != pb.pe {
@@ -264,8 +257,7 @@ impl SweepSession {
     /// nothing left in the plan (`remaining == 0`) the run skips
     /// recording entirely and leaves the existing base untouched — it
     /// still truthfully describes its own configuration, so a stray
-    /// later call can keep chaining off it. Dispatches to whichever
-    /// core serves this trace/config pair.
+    /// later call can keep chaining off it.
     fn record_fresh(&mut self, cfg: SystemConfig, remaining: usize, div: Option<u64>) -> SimReport {
         if remaining == 0 || (self.diverged && remaining == 1) {
             // Nothing left in the plan — or one run left right after a
@@ -290,22 +282,16 @@ impl SweepSession {
         };
         let mut rec = Recording::new(self.interval, ckpts, self.n_mem, limit);
         let mut cache = Cache::new(cfg.cache);
-        let report = if dataflow_ok(&self.prep, &cfg) {
-            let mut st = DfState::new(&self.prep, &cfg);
-            dataflow_loop::<true>(&self.prep, &cfg, &mut st, &mut cache, &mut rec);
-            finalize_dataflow(st, cache, &self.prep, &cfg, &self.opts)
-        } else {
-            let mut st = CoreState::new(&self.prep, &cfg);
-            core_loop::<NoProbe, true>(
-                &self.prep,
-                &cfg,
-                &mut st,
-                &mut cache,
-                &mut rec,
-                &mut NoProbe,
-            );
-            finalize_core(st, cache, &self.prep, &cfg, &self.opts)
-        };
+        let mut st = CoreState::new(&self.prep, &cfg);
+        core_loop::<NoProbe, true>(
+            &self.prep,
+            &cfg,
+            &mut st,
+            &mut cache,
+            &mut rec,
+            &mut NoProbe,
+        );
+        let report = finalize_core(st, cache, &self.prep, &cfg, &self.opts);
         self.base = Some(BaseRec {
             cfg,
             rec,
@@ -362,11 +348,11 @@ impl SweepSession {
         // knows divergences happen on this ladder, so the re-record
         // takes checkpoints.
         self.diverged = true;
-        let usable = b.rec.ckpts.partition_point(|c| c.snap.accesses() <= div);
+        let usable = b.rec.ckpts.partition_point(|c| c.accesses <= div);
         let Some(j) = usable.checked_sub(1) else {
             return self.record_fresh(cfg, remaining, Some(div));
         };
-        let keep = b.rec.ckpts[j].snap.accesses() as usize;
+        let keep = b.rec.ckpts[j].accesses as usize;
         let mut tail_cache = Cache::new(cfg.cache);
         for &word in &b.rec.addrs[..keep] {
             tail_cache.access(
@@ -374,16 +360,7 @@ impl SweepSession {
                 (word >> REC_SHIFT) as u8 & REC_WRITE != 0,
             );
         }
-        // Restore scheduler state on whichever core recorded the run
-        // (a chained pair always agrees on the backend).
-        enum Resumed {
-            Df(Box<DfState>),
-            Core(Box<CoreState>),
-        }
-        let resumed = match &b.rec.ckpts[j].snap {
-            Snap::Df(s) => Resumed::Df(Box::new(DfState::restore(s, &cfg))),
-            Snap::Core(s) => Resumed::Core(s.clone()),
-        };
+        let mut st = b.rec.ckpts[j].clone();
         if remaining <= 1 {
             // Last run of the plan — or the next-to-last right after
             // this divergence, whose successor will again diverge early
@@ -391,48 +368,26 @@ impl SweepSession {
             // Either way nobody profits from a recorded tail, so it
             // runs unrecorded, and the base — untouched — keeps
             // truthfully describing the previous configuration.
-            return match resumed {
-                Resumed::Df(st) => {
-                    let mut st = *st;
-                    let mut rec = Recording::disabled();
-                    dataflow_loop::<false>(&self.prep, &cfg, &mut st, &mut tail_cache, &mut rec);
-                    finalize_dataflow(st, tail_cache, &self.prep, &cfg, &self.opts)
-                }
-                Resumed::Core(st) => {
-                    let mut st = *st;
-                    let mut rec = Recording::disabled();
-                    core_loop::<NoProbe, false>(
-                        &self.prep,
-                        &cfg,
-                        &mut st,
-                        &mut tail_cache,
-                        &mut rec,
-                        &mut NoProbe,
-                    );
-                    finalize_core(st, tail_cache, &self.prep, &cfg, &self.opts)
-                }
-            };
+            core_loop::<NoProbe, false>(
+                &self.prep,
+                &cfg,
+                &mut st,
+                &mut tail_cache,
+                &mut Recording::disabled(),
+                &mut NoProbe,
+            );
+            return finalize_core(st, tail_cache, &self.prep, &cfg, &self.opts);
         }
         b.rec.truncate_to(j);
-        let report = match resumed {
-            Resumed::Df(st) => {
-                let mut st = *st;
-                dataflow_loop::<true>(&self.prep, &cfg, &mut st, &mut tail_cache, &mut b.rec);
-                finalize_dataflow(st, tail_cache, &self.prep, &cfg, &self.opts)
-            }
-            Resumed::Core(st) => {
-                let mut st = *st;
-                core_loop::<NoProbe, true>(
-                    &self.prep,
-                    &cfg,
-                    &mut st,
-                    &mut tail_cache,
-                    &mut b.rec,
-                    &mut NoProbe,
-                );
-                finalize_core(st, tail_cache, &self.prep, &cfg, &self.opts)
-            }
-        };
+        core_loop::<NoProbe, true>(
+            &self.prep,
+            &cfg,
+            &mut st,
+            &mut tail_cache,
+            &mut b.rec,
+            &mut NoProbe,
+        );
+        let report = finalize_core(st, tail_cache, &self.prep, &cfg, &self.opts);
         b.cfg = cfg;
         b.report = report.clone();
         report

@@ -13,21 +13,27 @@ use tapeflow::core::CompileOptions;
 use tapeflow::ir::trace::{trace_function, TraceOptions};
 use tapeflow::ir::{ArrayId, Function, Memory};
 use tapeflow::sim::{
-    try_simulate_probed_with, AttributionProbe, Engine, InstBreakdown, SimOptions, SystemConfig,
+    legacy, try_simulate_probed, AttributionProbe, InstBreakdown, SimOptions, SystemConfig,
 };
 
-/// Runs `func`'s trace under the per-inst probe on `engine` and checks
-/// the partition invariants; returns the raw per-inst ledger.
+/// Runs `func`'s trace under the per-inst probe — on the legacy scalar
+/// oracle when `on_legacy`, else on the event core — and checks the
+/// partition invariants; returns the raw per-inst ledger.
 fn probed_rows(
     label: &str,
     func: &Function,
     trace: &tapeflow::ir::trace::Trace,
-    engine: Engine,
+    on_legacy: bool,
 ) -> InstBreakdown {
     let sys = SystemConfig::default();
+    let opts = SimOptions::default();
     let mut probe = AttributionProbe::with_inst_map(attr::node_to_inst(trace), func.insts().len());
-    try_simulate_probed_with(engine, trace, &sys, &SimOptions::default(), &mut probe)
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    if on_legacy {
+        legacy::try_simulate_probed(trace, &sys, &opts, &mut probe)
+    } else {
+        try_simulate_probed(trace, &sys, &opts, &mut probe)
+    }
+    .unwrap_or_else(|e| panic!("{label}: {e}"));
     let (bd, inst_bd) = probe.into_parts();
     let inst_bd = inst_bd.expect("per-inst mode was requested");
     bd.check().unwrap_or_else(|e| panic!("{label}: {e}"));
@@ -86,18 +92,8 @@ fn registry_per_inst_sums_match_per_cause_totals_on_both_engines() {
         let bench = by_name(name, Scale::Tiny);
         let grad = bench.gradient();
         let trace = traced(&bench, &grad, &grad.func, grad.phase_barrier);
-        let event = probed_rows(
-            &format!("{name} gradient event"),
-            &grad.func,
-            &trace,
-            Engine::Event,
-        );
-        let legacy = probed_rows(
-            &format!("{name} gradient legacy"),
-            &grad.func,
-            &trace,
-            Engine::Legacy,
-        );
+        let event = probed_rows(&format!("{name} gradient event"), &grad.func, &trace, false);
+        let legacy = probed_rows(&format!("{name} gradient legacy"), &grad.func, &trace, true);
         assert_eq!(
             event.rows, legacy.rows,
             "{name}: engines disagree on per-inst attribution"
@@ -124,12 +120,7 @@ fn registry_per_inst_invariants_hold_for_compiled_programs() {
         };
         compiled_count += 1;
         let trace = traced(&bench, &grad, &compiled.func, compiled.phase_barrier);
-        let inst_bd = probed_rows(
-            &format!("{name} tapeflow"),
-            &compiled.func,
-            &trace,
-            Engine::Event,
-        );
+        let inst_bd = probed_rows(&format!("{name} tapeflow"), &compiled.func, &trace, false);
         // Compiled programs carry provenance from the pass pipeline:
         // the hot rows must resolve to source ops, not all fall into
         // the unattributed bucket.

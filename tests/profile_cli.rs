@@ -371,6 +371,25 @@ fn timeline_flags_without_a_timeline_are_usage_errors() {
     assert!(!stray.exists(), "simulate wrote a trace file");
 }
 
+/// The simulator has one engine, so there is no engine selector: the
+/// retired `--engine` flag is an unknown argument (exit 2, nothing run).
+#[test]
+fn engine_flag_is_an_unknown_argument() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tapeflow"))
+        .args([
+            "simulate", "gravity", "--scale", "tiny", "--engine", "legacy",
+        ])
+        .output()
+        .expect("run tapeflow simulate");
+    assert_eq!(out.status.code(), Some(2), "expected usage-error exit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown argument \"--engine\""),
+        "unexpected error: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "ran despite the usage error");
+}
+
 #[test]
 fn validates_trace_file_from_env() {
     let Some(path) = std::env::var_os("TAPEFLOW_TRACE_VALIDATE") else {
