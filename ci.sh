@@ -93,13 +93,15 @@ if ! sha256sum --quiet -c tests/golden/chrome_trace_sumexp.sha256; then
     exit 1
 fi
 
-echo "== lint smoke (all registered benchmarks) =="
-# Every in-tree benchmark must lint clean at the default config — any
-# error-severity finding makes `tapeflow lint` exit 1 and fails CI under
-# `set -e`. The machine-readable report is schema-checked like the
-# profile JSON above.
-for b in gravity nn logsum matdescent mttkrp somier lenet5 pathfinder mass_spring; do
-    cargo run --release --bin tapeflow -- lint "$b" --scale tiny > /dev/null
+echo "== lint smoke (all registered benchmarks, every scale) =="
+# Every in-tree benchmark must lint clean at the default config and at
+# every scale — any error-severity finding makes `tapeflow lint` exit 1
+# and fails CI under `set -e`. Each run takes milliseconds. The
+# machine-readable report is schema-checked like the profile JSON above.
+for scale in tiny small large; do
+    for b in gravity nn logsum matdescent mttkrp somier lenet5 pathfinder mass_spring; do
+        cargo run --release --bin tapeflow -- lint "$b" --scale "$scale" > /dev/null
+    done
 done
 cargo run --release --bin tapeflow -- \
     lint logsum --scale tiny --json target/ci/lint_logsum.json > /dev/null

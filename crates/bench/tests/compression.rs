@@ -4,7 +4,7 @@
 //! never what flows through the REV phase), must never grow the tape,
 //! must lint clean, and must cut modeled tape DRAM traffic on at least
 //! three benchmarks (the input-rematerialization and width-narrowing
-//! opportunities the lint interval analysis finds under the
+//! opportunities the value-range analysis (`ir::vra`) finds under the
 //! Enzyme-realistic conservative tape policy).
 
 use tapeflow_bench::harness::{Config, Prepared};

@@ -10,10 +10,13 @@
 //! The analyses are deliberately conservative: an `error` diagnostic means
 //! the property is provably violated on some iteration of the (fully
 //! static) loop nest; silence means the analysis could not prove a
-//! violation, not that none exists. Value ranges come from an interval
-//! analysis over `i64` values (loop induction variables get the interval
-//! spanned by their bounds), and bank-conflict strides come from an affine
-//! decomposition of scratchpad indices over enclosing induction variables.
+//! violation, not that none exists. Integer value ranges come from the
+//! whole-program value-range analysis ([`crate::vra`]) run on the function
+//! being linted. The only refinement kept here is a linear expansion of
+//! index arithmetic (`iadd`/`isub`/`imul`-by-constant chains): it cancels
+//! correlated terms in a transfer's end bound, splits on `imin`/`imax`,
+//! bounds induction variables by their own loop bounds, and its
+//! induction-variable coefficients are the bank-conflict strides.
 //!
 //! Entry point: [`lint_function`]. Diagnostics are deterministically
 //! ordered (severity, then rule, then span) so table and JSON renderings
@@ -23,6 +26,7 @@ use crate::function::{ArrayKind, Bound, Function, Stmt};
 use crate::ids::{ArrayId, InstId, LoopId, ValueId};
 use crate::ops::Op;
 use crate::types::Const;
+use crate::vra::{self, IntRange};
 use crate::ValueDef;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -156,330 +160,174 @@ pub fn counts(diags: &[Diagnostic]) -> (usize, usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Interval analysis
+// The analysis
 // ---------------------------------------------------------------------------
 
-/// An inclusive `i64` range. Arithmetic saturates, which is sound for
-/// bounds checking (saturation only ever widens the range).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Interval {
-    lo: i64,
-    hi: i64,
-}
-
-impl Interval {
-    fn point(v: i64) -> Self {
-        Interval { lo: v, hi: v }
-    }
-
-    fn union(self, o: Interval) -> Interval {
-        Interval {
-            lo: self.lo.min(o.lo),
-            hi: self.hi.max(o.hi),
-        }
-    }
-
-    fn add(self, o: Interval) -> Interval {
-        Interval {
-            lo: self.lo.saturating_add(o.lo),
-            hi: self.hi.saturating_add(o.hi),
-        }
-    }
-
-    fn sub(self, o: Interval) -> Interval {
-        Interval {
-            lo: self.lo.saturating_sub(o.hi),
-            hi: self.hi.saturating_sub(o.lo),
-        }
-    }
-
-    fn corners(self, o: Interval, f: impl Fn(i64, i64) -> i64) -> Interval {
-        let cs = [
-            f(self.lo, o.lo),
-            f(self.lo, o.hi),
-            f(self.hi, o.lo),
-            f(self.hi, o.hi),
-        ];
-        Interval {
-            lo: cs.iter().copied().min().unwrap(),
-            hi: cs.iter().copied().max().unwrap(),
-        }
-    }
-
-    fn mul(self, o: Interval) -> Interval {
-        self.corners(o, i64::saturating_mul)
-    }
-
-    /// Truncated division; only defined when the divisor excludes zero
-    /// (corner evaluation is then exact for monotonicity reasons).
-    fn div(self, o: Interval) -> Option<Interval> {
-        if o.lo > 0 || o.hi < 0 {
-            Some(self.corners(o, |a, b| a / b))
-        } else {
-            None
-        }
-    }
-
-    /// Remainder with a positive divisor range.
-    fn rem(self, o: Interval) -> Option<Interval> {
-        if o.lo <= 0 {
-            return None;
-        }
-        let mag = o.hi - 1;
-        if self.lo >= 0 {
-            Some(Interval {
-                lo: 0,
-                hi: self.hi.min(mag),
-            })
-        } else {
-            Some(Interval { lo: -mag, hi: mag })
-        }
-    }
-
-    fn min(self, o: Interval) -> Interval {
-        Interval {
-            lo: self.lo.min(o.lo),
-            hi: self.hi.min(o.hi),
-        }
-    }
-
-    fn max(self, o: Interval) -> Interval {
-        Interval {
-            lo: self.lo.max(o.lo),
-            hi: self.hi.max(o.hi),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Affine analysis (for bank strides)
-// ---------------------------------------------------------------------------
-
-/// `konst + Σ coeff · iv` over enclosing induction variables. Coefficient
-/// vectors are kept sorted by value id so equality is structural.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct Affine {
-    coeffs: Vec<(ValueId, i64)>,
-    konst: i64,
-}
-
-impl Affine {
-    fn konst(v: i64) -> Self {
-        Affine {
-            coeffs: Vec::new(),
-            konst: v,
-        }
-    }
-
-    fn iv(v: ValueId) -> Self {
-        Affine {
-            coeffs: vec![(v, 1)],
-            konst: 0,
-        }
-    }
-
-    fn combine(&self, o: &Affine, sign: i64) -> Option<Affine> {
-        let mut coeffs = self.coeffs.clone();
-        for &(v, c) in &o.coeffs {
-            match coeffs.binary_search_by_key(&v, |&(w, _)| w) {
-                Ok(i) => {
-                    coeffs[i].1 = coeffs[i].1.checked_add(c.checked_mul(sign)?)?;
-                    if coeffs[i].1 == 0 {
-                        coeffs.remove(i);
-                    }
-                }
-                Err(i) => coeffs.insert(i, (v, c.checked_mul(sign)?)),
-            }
-        }
-        Some(Affine {
-            coeffs,
-            konst: self.konst.checked_add(o.konst.checked_mul(sign)?)?,
-        })
-    }
-
-    fn scale(&self, k: i64) -> Option<Affine> {
-        let mut coeffs = Vec::with_capacity(self.coeffs.len());
-        for &(v, c) in &self.coeffs {
-            let c = c.checked_mul(k)?;
-            if c != 0 {
-                coeffs.push((v, c));
-            }
-        }
-        Some(Affine {
-            coeffs,
-            konst: self.konst.checked_mul(k)?,
-        })
-    }
-
-    /// Coefficient of induction variable `iv` (0 when absent).
-    fn coeff_of(&self, iv: ValueId) -> i64 {
-        self.coeffs
-            .binary_search_by_key(&iv, |&(w, _)| w)
-            .map(|i| self.coeffs[i].1)
-            .unwrap_or(0)
-    }
-
-    fn as_const(&self) -> Option<i64> {
-        self.coeffs.is_empty().then_some(self.konst)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The analysis walk
-// ---------------------------------------------------------------------------
-
-/// Per-function analysis facts shared by all rules: value intervals, affine
-/// decompositions, and the linearized program order with loop context.
+/// Per-function analysis facts shared by all rules: the `i64` value ranges
+/// [`crate::vra`] proves, and the linearized program order with loop
+/// context.
 struct Analysis {
-    interval: Vec<Option<Interval>>,
-    affine: Vec<Option<Affine>>,
+    /// Per-value integer range (`None`: unbounded, or never executed).
+    ints: Vec<Option<IntRange>>,
     /// Scheduled instructions in program order, each with the stack of
     /// enclosing loops (outermost first).
     order: Vec<(InstId, Vec<LoopId>)>,
+    /// Nesting depth of every loop (outermost loops are 1).
+    depth: Vec<usize>,
+}
+
+/// `konst + Σ coeff · leaf`: leaves sorted by value id, like terms merged,
+/// coefficients non-zero.
+type Linear = (Vec<(ValueId, i64)>, i64);
+
+/// Expands `konst + Σ coeff · v` through `iadd`/`isub`/`imul`-by-constant
+/// definitions to a fixpoint, folding the values `point` knows to be
+/// constant. Arithmetic is checked; `None` on overflow.
+fn linear(
+    func: &Function,
+    mut terms: Vec<(ValueId, i64)>,
+    mut konst: i64,
+    point: &dyn Fn(ValueId) -> Option<i64>,
+) -> Option<Linear> {
+    // SSA definitions are acyclic, so this terminates.
+    loop {
+        terms.sort_by_key(|&(v, _)| v);
+        let mut merged: Vec<(ValueId, i64)> = Vec::with_capacity(terms.len());
+        for (v, c) in terms {
+            match merged.last_mut() {
+                Some(last) if last.0 == v => last.1 = last.1.checked_add(c)?,
+                _ => merged.push((v, c)),
+            }
+        }
+        merged.retain(|&(_, c)| c != 0);
+        let mut changed = false;
+        let mut next: Vec<(ValueId, i64)> = Vec::with_capacity(merged.len());
+        for &(v, c) in &merged {
+            if let Some(p) = point(v) {
+                konst = konst.checked_add(c.checked_mul(p)?)?;
+                changed = true;
+                continue;
+            }
+            if let ValueDef::Inst(id) = func.values()[v.index()].def {
+                let inst = func.inst(id);
+                match inst.op {
+                    Op::IAdd => {
+                        next.push((inst.args[0], c));
+                        next.push((inst.args[1], c));
+                        changed = true;
+                        continue;
+                    }
+                    Op::ISub => {
+                        next.push((inst.args[0], c));
+                        next.push((inst.args[1], c.checked_neg()?));
+                        changed = true;
+                        continue;
+                    }
+                    Op::IMul => {
+                        if let Some(k) = point(inst.args[1]) {
+                            next.push((inst.args[0], c.checked_mul(k)?));
+                            changed = true;
+                            continue;
+                        }
+                        if let Some(k) = point(inst.args[0]) {
+                            next.push((inst.args[1], c.checked_mul(k)?));
+                            changed = true;
+                            continue;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            next.push((v, c));
+        }
+        terms = next;
+        if !changed {
+            return Some((terms, konst));
+        }
+    }
+}
+
+/// The constants of the bank-stride rule: `i64` literals and `salloc`
+/// bases. Values VRA merely proves constant stay leaves, so an index
+/// through, say, `irem` of a one-trip tile loop is not an affine stride.
+fn literal(func: &Function, v: ValueId) -> Option<i64> {
+    match func.values()[v.index()].def {
+        ValueDef::Const(Const::I64(c)) => Some(c),
+        ValueDef::Inst(id) => match func.inst(id).op {
+            Op::SAlloc { base, .. } => Some(base.into()),
+            _ => None,
+        },
+        _ => None,
+    }
 }
 
 impl Analysis {
     fn run(func: &Function) -> Analysis {
-        let n = func.values().len();
         let mut a = Analysis {
-            interval: vec![None; n],
-            affine: vec![None; n],
+            ints: vra::value_ranges(func).ints,
             order: Vec::new(),
+            depth: vec![0; func.loops().len()],
         };
-        for (i, v) in func.values().iter().enumerate() {
-            if let ValueDef::Const(Const::I64(c)) = v.def {
-                a.interval[i] = Some(Interval::point(c));
-                a.affine[i] = Some(Affine::konst(c));
-            }
-        }
-        let mut path = Vec::new();
-        a.walk(func, &func.body, &mut path);
+        a.walk(&func.body, &mut Vec::new());
         a
     }
 
-    fn bound_interval(&self, b: Bound) -> Option<Interval> {
-        match b {
-            Bound::Const(c) => Some(Interval::point(c)),
-            Bound::Value(v) => self.interval[v.index()],
-        }
-    }
-
-    fn walk(&mut self, func: &Function, stmts: &[Stmt], path: &mut Vec<LoopId>) {
+    fn walk(&mut self, stmts: &[Stmt], path: &mut Vec<LoopId>) {
         for s in stmts {
             match s {
-                Stmt::Inst(id) => {
-                    self.eval(func, *id);
-                    self.order.push((*id, path.clone()));
-                }
+                Stmt::Inst(id) => self.order.push((*id, path.clone())),
                 Stmt::For { loop_id, body } => {
-                    let info = func.loop_info(*loop_id);
-                    let start = self.bound_interval(info.start);
-                    let end = self.bound_interval(info.end);
-                    // iv ranges over [start, end) for step > 0 and
-                    // (end, start] for step < 0; intermediate steps stay
-                    // inside those hulls for any |step|.
-                    let iv_range = match (start, end) {
-                        (Some(s), Some(e)) if info.step > 0 => Some(Interval {
-                            lo: s.lo,
-                            hi: e.hi.saturating_sub(1).max(s.lo),
-                        }),
-                        (Some(s), Some(e)) => Some(Interval {
-                            lo: e.lo.saturating_add(1).min(s.hi),
-                            hi: s.hi,
-                        }),
-                        _ => None,
-                    };
-                    self.interval[info.iv.index()] = iv_range;
-                    self.affine[info.iv.index()] = Some(Affine::iv(info.iv));
                     path.push(*loop_id);
-                    self.walk(func, body, path);
+                    self.depth[loop_id.index()] = path.len();
+                    self.walk(body, path);
                     path.pop();
                 }
             }
         }
     }
 
-    /// Upper bound on `x + y`, sharper than `hi(x) + hi(y)`: the sum is
-    /// decomposed through `iadd`/`isub`/`imul`-by-const definitions into
-    /// `konst + Σ coeff·leaf`, like terms are cancelled, and an
-    /// `imin`/`imax` leaf branches the evaluation. This recovers the
-    /// correlation in the streaming pass's partial-tile transfers
-    /// (`base = start·k`, `elems = min(tile, total − start)·k`), where
-    /// independent interval bounds of base and length over-approximate.
-    /// Arithmetic is checked; `None` means "fall back to intervals".
-    fn sum_hi(&self, func: &Function, x: ValueId, y: ValueId) -> Option<i64> {
-        self.bound_sum(func, vec![(x, 1), (y, 1)], 0, 8)
+    fn range(&self, v: ValueId) -> Option<IntRange> {
+        self.ints[v.index()]
     }
 
+    fn point(&self, v: ValueId) -> Option<i64> {
+        self.range(v).filter(|r| r.lo == r.hi).map(|r| r.lo)
+    }
+
+    /// `konst + Σ c·v` bounded term by term with value ranges.
+    fn range_hi(&self, terms: &[(ValueId, i64)], konst: i64) -> Option<i64> {
+        terms.iter().try_fold(konst, |hi, &(v, c)| {
+            let r = self.range(v)?;
+            hi.checked_add(c.checked_mul(if c > 0 { r.hi } else { r.lo })?)
+        })
+    }
+
+    /// Upper bound on `konst + Σ c·v`: the tighter of the term-by-term
+    /// range bound and [`Analysis::bound_sum`]. `None` when neither
+    /// applies.
+    fn upper(&self, func: &Function, terms: Vec<(ValueId, i64)>, konst: i64) -> Option<i64> {
+        let direct = self.range_hi(&terms, konst);
+        [direct, self.bound_sum(func, terms, konst, 8)]
+            .into_iter()
+            .flatten()
+            .min()
+    }
+
+    /// Upper bound on `konst + Σ c·v`, sharper than the term-by-term
+    /// bound: the sum is expanded by [`linear`], so like terms cancel, and
+    /// an `imin`/`imax` leaf branches the evaluation. This recovers the
+    /// correlation in the streaming pass's partial-tile transfers
+    /// (`base = start·k`, `elems = min(tile, total − start)·k`), where
+    /// independent range bounds of base and length over-approximate.
+    /// Arithmetic is checked; `None` on overflow.
     fn bound_sum(
         &self,
         func: &Function,
-        mut terms: Vec<(ValueId, i64)>,
-        mut konst: i64,
+        terms: Vec<(ValueId, i64)>,
+        konst: i64,
         fuel: u32,
     ) -> Option<i64> {
-        // Expand linear definitions and fold constants to a fixpoint.
-        // SSA definitions are acyclic, so this terminates.
-        loop {
-            terms.sort_by_key(|&(v, _)| v);
-            let mut merged: Vec<(ValueId, i64)> = Vec::with_capacity(terms.len());
-            for (v, c) in terms {
-                match merged.last_mut() {
-                    Some(last) if last.0 == v => last.1 = last.1.checked_add(c)?,
-                    _ => merged.push((v, c)),
-                }
-            }
-            merged.retain(|&(_, c)| c != 0);
-            let mut changed = false;
-            let mut next: Vec<(ValueId, i64)> = Vec::with_capacity(merged.len());
-            for &(v, c) in &merged {
-                if let Some(p) = self.interval[v.index()].filter(|p| p.lo == p.hi) {
-                    konst = konst.checked_add(c.checked_mul(p.lo)?)?;
-                    changed = true;
-                    continue;
-                }
-                if let ValueDef::Inst(id) = func.values()[v.index()].def {
-                    let inst = func.inst(id);
-                    match inst.op {
-                        Op::IAdd => {
-                            next.push((inst.args[0], c));
-                            next.push((inst.args[1], c));
-                            changed = true;
-                            continue;
-                        }
-                        Op::ISub => {
-                            next.push((inst.args[0], c));
-                            next.push((inst.args[1], c.checked_neg()?));
-                            changed = true;
-                            continue;
-                        }
-                        Op::IMul => {
-                            let konst_arg = |k: usize| {
-                                self.interval[inst.args[k].index()]
-                                    .filter(|p| p.lo == p.hi)
-                                    .map(|p| p.lo)
-                            };
-                            if let Some(k) = konst_arg(1) {
-                                next.push((inst.args[0], c.checked_mul(k)?));
-                                changed = true;
-                                continue;
-                            }
-                            if let Some(k) = konst_arg(0) {
-                                next.push((inst.args[1], c.checked_mul(k)?));
-                                changed = true;
-                                continue;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                next.push((v, c));
-            }
-            terms = next;
-            if !changed {
-                break;
-            }
-        }
+        let (terms, konst) = linear(func, terms, konst, &|v| self.point(v))?;
         // A min with positive weight (or max with negative weight) splits
         // the bound: `u + min(p, q) = min(u + p, u + q)` pointwise.
         if fuel > 0 {
@@ -499,64 +347,54 @@ impl Analysis {
                 }
             }
         }
-        // Residual leaves: bound each with its interval.
-        let mut hi = konst;
-        for &(v, c) in &terms {
-            let iv = self.interval[v.index()]?;
-            let bound = if c > 0 { iv.hi } else { iv.lo };
-            hi = hi.checked_add(c.checked_mul(bound)?)?;
-        }
-        Some(hi)
+        // Residual leaves: bound each with its range, or bound the
+        // innermost induction variable by its own loop's bounds, which
+        // keeps a partial tile's trip count correlated with the enclosing
+        // tile index (`i.in < min(32, 200 − 32·i.tile)`).
+        let by_range = self.range_hi(&terms, konst);
+        let by_loop = self
+            .innermost_iv_bound(func, &terms, konst)
+            .and_then(|(terms, konst)| self.bound_sum(func, terms, konst, fuel));
+        [by_range, by_loop].into_iter().flatten().min()
     }
 
-    fn eval(&mut self, func: &Function, id: InstId) {
-        let inst = func.inst(id);
-        let Some(res) = inst.result else { return };
-        let iv = |a: &Analysis, k: usize| a.interval[inst.args[k].index()];
-        let af = |a: &Analysis, k: usize| a.affine[inst.args[k].index()].clone();
-        let (interval, affine) = match inst.op {
-            Op::IAdd => (
-                iv(self, 0).zip(iv(self, 1)).map(|(a, b)| a.add(b)),
-                af(self, 0)
-                    .zip(af(self, 1))
-                    .and_then(|(a, b)| a.combine(&b, 1)),
-            ),
-            Op::ISub => (
-                iv(self, 0).zip(iv(self, 1)).map(|(a, b)| a.sub(b)),
-                af(self, 0)
-                    .zip(af(self, 1))
-                    .and_then(|(a, b)| a.combine(&b, -1)),
-            ),
-            Op::IMul => (
-                iv(self, 0).zip(iv(self, 1)).map(|(a, b)| a.mul(b)),
-                af(self, 0).zip(af(self, 1)).and_then(|(a, b)| {
-                    match (a.as_const(), b.as_const()) {
-                        (Some(k), _) => b.scale(k),
-                        (_, Some(k)) => a.scale(k),
-                        _ => None,
-                    }
-                }),
-            ),
-            Op::IDiv => (
-                iv(self, 0).zip(iv(self, 1)).and_then(|(a, b)| a.div(b)),
-                None,
-            ),
-            Op::IRem => (
-                iv(self, 0).zip(iv(self, 1)).and_then(|(a, b)| a.rem(b)),
-                None,
-            ),
-            Op::IMin => (iv(self, 0).zip(iv(self, 1)).map(|(a, b)| a.min(b)), None),
-            Op::IMax => (iv(self, 0).zip(iv(self, 1)).map(|(a, b)| a.max(b)), None),
-            Op::ICmp(_) | Op::FCmp(_) => (Some(Interval { lo: 0, hi: 1 }), None),
-            Op::Select => (iv(self, 1).zip(iv(self, 2)).map(|(a, b)| a.union(b)), None),
-            Op::SAlloc { base, .. } => (
-                Some(Interval::point(i64::from(base))),
-                Some(Affine::konst(i64::from(base))),
-            ),
-            _ => (None, None),
+    /// Replaces the innermost induction-variable leaf `c·iv` by the bound of
+    /// its loop that caps it: `end − step.signum()` when `c` and the step
+    /// agree in sign, `start` otherwise. Enclosing induction variables stay
+    /// symbolic, so they can cancel against the bound they appear in.
+    /// `None` when no induction variable is left (or on overflow). A bound
+    /// is defined outside its loop, so repeated replacement terminates.
+    fn innermost_iv_bound(
+        &self,
+        func: &Function,
+        terms: &[(ValueId, i64)],
+        konst: i64,
+    ) -> Option<Linear> {
+        let (i, l) = terms
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &(v, _))| match func.values()[v.index()].def {
+                ValueDef::Iv(l) => Some((i, l)),
+                _ => None,
+            })
+            .max_by_key(|&(_, l)| self.depth[l.index()])?;
+        let c = terms[i].1;
+        let info = func.loop_info(l);
+        let (bound, adjust) = if (c > 0) == (info.step > 0) {
+            (info.end, -info.step.signum())
+        } else {
+            (info.start, 0)
         };
-        self.interval[res.index()] = interval;
-        self.affine[res.index()] = affine;
+        let mut terms = terms.to_vec();
+        let mut konst = konst.checked_add(c.checked_mul(adjust)?)?;
+        match bound {
+            Bound::Const(k) => {
+                terms.remove(i);
+                konst = konst.checked_add(c.checked_mul(k)?)?;
+            }
+            Bound::Value(b) => terms[i].0 = b,
+        }
+        Some((terms, konst))
     }
 }
 
@@ -591,7 +429,7 @@ fn tape_index_oob(func: &Function, a: &Analysis, diags: &mut Vec<Diagnostic>) {
         let inst = func.inst(id);
         let (arr, range, what) = match inst.op {
             Op::Load(arr) | Op::Store(arr) if func.array(arr).kind.is_tape() => {
-                let Some(r) = a.interval[inst.args[0].index()] else {
+                let Some(r) = a.range(inst.args[0]) else {
                     continue;
                 };
                 let what = if matches!(inst.op, Op::Load(_)) {
@@ -606,32 +444,35 @@ fn tape_index_oob(func: &Function, a: &Analysis, diags: &mut Vec<Diagnostic>) {
                 rsize,
                 off,
             } => {
-                let Some(lin) = a.interval[inst.args[0].index()] else {
+                let Some(lin) = a.range(inst.args[0]) else {
                     continue;
                 };
-                let r = lin
-                    .mul(Interval::point(rsize as i64))
-                    .add(Interval::point(off as i64));
+                let slot = |i: i64| i.saturating_mul(rsize.into()).saturating_add(off.into());
+                let hi = a
+                    .upper(func, vec![(inst.args[0], rsize.into())], off.into())
+                    .unwrap_or(slot(lin.hi));
+                let r = IntRange {
+                    lo: slot(lin.lo),
+                    hi,
+                };
                 (arr, r, "tape.load")
             }
             Op::StreamIn(arr)
             | Op::StreamOut(arr)
             | Op::StreamInC { array: arr, .. }
             | Op::StreamOutC { array: arr, .. } => {
-                let (Some(base), Some(elems)) = (
-                    a.interval[inst.args[1].index()],
-                    a.interval[inst.args[2].index()],
-                ) else {
+                let (Some(base), Some(elems)) = (a.range(inst.args[1]), a.range(inst.args[2]))
+                else {
                     continue;
                 };
                 if elems.hi <= 0 {
                     continue;
                 }
-                let hi = match a.sum_hi(func, inst.args[1], inst.args[2]) {
+                let hi = match a.upper(func, vec![(inst.args[1], 1), (inst.args[2], 1)], 0) {
                     Some(end) => end - 1,
                     None => base.hi.saturating_add(elems.hi - 1),
                 };
-                let r = Interval {
+                let r = IntRange {
                     lo: base.lo,
                     hi: hi.max(base.lo),
                 };
@@ -721,19 +562,19 @@ fn spad_capacity(func: &Function, a: &Analysis, cfg: &LintConfig, diags: &mut Ve
 }
 
 /// Scratchpad entry range an instruction touches, when provable.
-fn spad_range(func: &Function, a: &Analysis, id: InstId) -> Option<Interval> {
+fn spad_range(func: &Function, a: &Analysis, id: InstId) -> Option<IntRange> {
     let inst = func.inst(id);
     match inst.op {
-        Op::SpadLoad | Op::SpadStore | Op::TapeStore { .. } => a.interval[inst.args[0].index()],
-        Op::TapeLoad { .. } => a.interval[inst.args[1].index()],
+        Op::SpadLoad | Op::SpadStore | Op::TapeStore { .. } => a.range(inst.args[0]),
+        Op::TapeLoad { .. } => a.range(inst.args[1]),
         Op::StreamIn(_) | Op::StreamOut(_) | Op::StreamInC { .. } | Op::StreamOutC { .. } => {
-            let base = a.interval[inst.args[0].index()]?;
-            let elems = a.interval[inst.args[2].index()]?;
-            let hi = match a.sum_hi(func, inst.args[0], inst.args[2]) {
+            let base = a.range(inst.args[0])?;
+            let elems = a.range(inst.args[2])?;
+            let hi = match a.upper(func, vec![(inst.args[0], 1), (inst.args[2], 1)], 0) {
                 Some(end) => end - 1,
                 None => base.hi.saturating_add(elems.hi.max(1) - 1),
             };
-            Some(Interval {
+            Some(IntRange {
                 lo: base.lo,
                 hi: hi.max(base.lo),
             })
@@ -813,11 +654,19 @@ fn spad_bank_conflict(
         let Some(innermost) = path.last() else {
             continue;
         };
-        let Some(affine) = &a.affine[entry_arg.index()] else {
+        // The entry must be affine in the enclosing induction variables.
+        let Some((terms, _)) = linear(func, vec![(entry_arg, 1)], 0, &|v| literal(func, v)) else {
             continue;
         };
+        if !terms
+            .iter()
+            .all(|&(v, _)| matches!(func.values()[v.index()].def, ValueDef::Iv(_)))
+        {
+            continue;
+        }
         let info = func.loop_info(*innermost);
-        let stride = affine.coeff_of(info.iv).saturating_mul(info.step);
+        let coeff = terms.iter().find(|t| t.0 == info.iv).map_or(0, |t| t.1);
+        let stride = coeff.saturating_mul(info.step);
         if stride == 0 {
             continue;
         }
@@ -850,7 +699,7 @@ fn spad_bank_conflict(
 /// core chains its scratchpad accesses; (2) each stream engine executes its
 /// commands in order; (3) a `spad.load` waits on the `stream.in` filling an
 /// overlapping range (full bit set by the fill); (4) a `stream.out` waits
-/// on the `spad.store` producing an overlapping range. Ranges the interval
+/// on the `spad.store` producing an overlapping range. Ranges the value-range
 /// analysis cannot bound are treated as covering the whole scratchpad.
 fn stream_deadlock(func: &Function, a: &Analysis, cfg: &LintConfig, diags: &mut Vec<Diagnostic>) {
     #[derive(Clone, Copy, PartialEq)]
@@ -860,12 +709,12 @@ fn stream_deadlock(func: &Function, a: &Analysis, cfg: &LintConfig, diags: &mut 
         Load,  // spad.load
         Store, // spad.store
     }
-    let full = Interval {
+    let full = IntRange {
         lo: 0,
         hi: cfg.spad_entries.saturating_sub(1) as i64,
     };
-    let mut section: Vec<(InstId, Kind, Interval)> = Vec::new();
-    let mut sections: Vec<Vec<(InstId, Kind, Interval)>> = Vec::new();
+    let mut section: Vec<(InstId, Kind, IntRange)> = Vec::new();
+    let mut sections: Vec<Vec<(InstId, Kind, IntRange)>> = Vec::new();
     for &(id, _) in &a.order {
         let kind = match func.inst(id).op {
             Op::StreamIn(_) | Op::StreamInC { .. } => Kind::Fill,
@@ -883,7 +732,7 @@ fn stream_deadlock(func: &Function, a: &Analysis, cfg: &LintConfig, diags: &mut 
     }
     sections.push(section);
 
-    let overlap = |x: Interval, y: Interval| x.lo <= y.hi && y.lo <= x.hi;
+    let overlap = |x: IntRange, y: IntRange| x.lo <= y.hi && y.lo <= x.hi;
     for nodes in &sections {
         let n = nodes.len();
         if n < 2 {
@@ -1135,7 +984,7 @@ mod tests {
 
     #[test]
     fn clamped_indices_are_in_bounds() {
-        // min/max clamping must be understood by the interval analysis.
+        // min/max clamping must be understood by the range analysis.
         let mut b = FunctionBuilder::new("clamp");
         let t = b.array("t", 8, ArrayKind::Tape, Scalar::F64);
         b.for_loop("i", 0, 16, |b, i| {
@@ -1194,6 +1043,54 @@ mod tests {
         let f = b.finish();
         verify(&f).unwrap();
         assert!(lint_function(&f, &cfg()).is_empty());
+    }
+
+    #[test]
+    fn inner_trip_counts_stay_correlated_with_the_tile_index() {
+        // Row tiles as the streaming pass emits them: 200 rows in tiles
+        // of 32 (the last one partial), two elements per row streamed at
+        // (32·t + i)·2, in a FWD loop and in the reversed REV loop.
+        // Bounding `i` by its hull [0, 31] gives end 448 > 400; bounding
+        // it by its own loop's bound `min(32, 200 − 32·t)` gives 400.
+        fn row_start(b: &mut FunctionBuilder, tile: ValueId) -> (ValueId, ValueId) {
+            let tile_rows = b.i64(32);
+            let rows = b.i64(200);
+            let first = b.imul(tile, tile_rows);
+            let left = b.isub(rows, first);
+            (first, b.imin(tile_rows, left))
+        }
+        fn row_base(b: &mut FunctionBuilder, first: ValueId, i: ValueId) -> ValueId {
+            let row = b.iadd(first, i);
+            let two = b.i64(2);
+            b.imul(row, two)
+        }
+        let mut b = FunctionBuilder::new("rows");
+        let t = b.array("t", 400, ArrayKind::Tape, Scalar::F64);
+        b.push_inst(Op::SAlloc { size: 64, base: 0 }, vec![]);
+        let z = b.i64(0);
+        let two = b.i64(2);
+        b.for_loop("t", 0, 7, |b, tile| {
+            let (first, n) = row_start(b, tile);
+            b.for_loop_step("i", 0, n, 1, |b, i| {
+                let base = row_base(b, first, i);
+                b.push_inst(Op::StreamOut(t), vec![z, base, two]);
+            });
+        });
+        b.push_inst(Op::Barrier, vec![]);
+        b.for_loop_step("rt", 6, -1, -1, |b, tile| {
+            let (first, n) = row_start(b, tile);
+            let one = b.i64(1);
+            let last = b.isub(n, one);
+            b.for_loop_step("ri", last, -1, -1, |b, i| {
+                let base = row_base(b, first, i);
+                b.push_inst(Op::StreamIn(t), vec![z, base, two]);
+            });
+        });
+        b.push_inst(Op::Barrier, vec![]);
+        let f = b.finish();
+        verify(&f).unwrap();
+        let diags = lint_function(&f, &cfg());
+        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Whole-program value-range analysis (VRA).
 //!
-//! Where [`crate::lint`]'s interval walk bounds *index* arithmetic one
-//! instruction at a time, this module is an **array-content abstract
-//! interpretation** of the whole function: every array carries a content
-//! domain seeded from its declared [`crate::DeclRange`] (inputs), its
-//! zero-initialization ([`crate::Memory::for_function`] zero-fills
+//! The one integer-range domain of the IR: [`crate::lint`] reads every
+//! `i64` range its rules check from here. It is an **array-content
+//! abstract interpretation** of the whole function: every array carries
+//! a content domain seeded from its declared [`crate::DeclRange`]
+//! (inputs), its zero-initialization ([`crate::Memory::for_function`] zero-fills
 //! `Temp` and `Tape` arrays), or ⊤ (externally writable kinds), and the
 //! domains are updated by `store` / `stream.out` and consulted by
 //! `load` / `tape.load` — so values that round-trip through the gradient

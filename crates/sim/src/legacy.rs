@@ -1,11 +1,10 @@
-//! The previous scalar per-cycle scheduler, kept verbatim for one
-//! release behind the `--engine legacy` escape hatch.
+//! The previous scalar per-cycle scheduler, kept as a reference oracle.
 //!
-//! The event-driven core in [`crate::engine`] replaced this loop; the
-//! cross-engine equivalence suite (and the `--engine legacy` CLI flag)
-//! runs both and asserts byte-identical reports, stall attributions and
-//! timelines. Remove this module once a release has shipped on the new
-//! core.
+//! The event-driven core in [`crate::engine`] runs every simulation; no
+//! user-facing path reaches this loop. It stays for two callers: the
+//! cross-engine equivalence tests, which run both schedulers and assert
+//! byte-identical reports, stall attributions and timelines, and
+//! `tapeflow bench-host`, which times it as the host-throughput baseline.
 
 use crate::cache::Cache;
 use crate::config::{EnergyTable, SystemConfig};

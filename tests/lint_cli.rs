@@ -2,7 +2,7 @@
 //! `tests/lint/` proves one rule family live against a golden table
 //! (regenerate with `BLESS=1 cargo test --test lint_cli`), the JSON
 //! report is schema-checked and byte-stable across runs, every in-tree
-//! benchmark lints clean, unknown program names and malformed
+//! benchmark lints clean at every scale, unknown program names and malformed
 //! instructions exit with a structured error instead of a panic, and `--lint-after-all` leaves the simulate
 //! output byte-identical.
 
@@ -24,13 +24,16 @@ fn tapeflow(args: &[&str]) -> std::process::Output {
 }
 
 /// (fixture stem, expected exit code). Error findings exit 1; the
-/// warning-only bank-stride fixture stays 0.
-const FIXTURES: [(&str, i32); 5] = [
+/// warning-only bank-stride fixture stays 0, as do the two clean
+/// programs a less precise range analysis would flag falsely.
+const FIXTURES: [(&str, i32); 7] = [
     ("oob_tape_index", 1),
     ("spad_overflow", 1),
     ("stream_cycle", 1),
     ("bank_stride", 0),
     ("float_nonfinite", 1),
+    ("zero_trip_loop", 0),
+    ("correlated_index", 0),
 ];
 
 #[test]
@@ -62,19 +65,36 @@ fn seeded_fixture_tables_are_golden() {
 
 #[test]
 fn every_benchmark_lints_clean_at_default_config() {
-    for name in tapeflow::benchmarks::NAMES {
-        let out = tapeflow(&["lint", name, "--scale", "tiny"]);
-        assert!(
-            out.status.success(),
-            "{name}: lint found errors:\n{}{}",
-            String::from_utf8_lossy(&out.stdout),
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            stdout.contains("0 error(s)"),
-            "{name}: unexpected summary: {stdout}"
-        );
+    // `--lint-after-all` also lints every pass boundary: the streams
+    // terminal form still carries `tape.load`s indexed by partial-tile
+    // induction variables, whose bounds must be proven there too.
+    for scale in ["tiny", "small", "large"] {
+        for name in tapeflow::benchmarks::NAMES {
+            let out = tapeflow(&["lint", name, "--scale", scale, "--lint-after-all"]);
+            assert!(
+                out.status.success(),
+                "{name} at {scale}: lint found errors:\n{}{}",
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                stdout.contains("0 error(s)"),
+                "{name} at {scale}: unexpected summary: {stdout}"
+            );
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let banners: Vec<&str> = stderr
+                .lines()
+                .filter(|l| l.starts_with("// ===== lint after pass"))
+                .collect();
+            assert!(!banners.is_empty(), "{name} at {scale}: no lint banners");
+            for banner in banners {
+                assert!(
+                    banner.contains("(0 error(s)"),
+                    "{name} at {scale}: {banner}\n{stderr}"
+                );
+            }
+        }
     }
 }
 
